@@ -2,15 +2,18 @@
 
 This is the memory substrate underneath the whole reproduction: the VM's
 loads and stores, the allocators, ASan's shadow memory and MPX's bounds
-tables all live here.  Pages are materialized lazily (a 4 GiB space costs
-nothing until touched), and an optional ``tracer`` lets the SGX model observe
-every access to charge cache/EPC costs.
+tables all live here.  A mapping is one extent of pages, so reserving the
+512 MiB ASan shadow costs one list insert; pages are materialized lazily (a
+4 GiB space costs nothing until touched), and an optional ``tracer`` lets the
+SGX model observe every access to charge cache/EPC costs.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Callable, Dict, List, Optional
+from bisect import bisect_right
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import GuardPageFault, OutOfMemory, SegmentationFault
 from repro.memory.layout import (
@@ -33,6 +36,8 @@ _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _F64 = struct.Struct("<d")
+
+_extent_first = itemgetter(0)
 
 
 class Region:
@@ -64,6 +69,12 @@ class AddressSpace:
 
     def __init__(self, commit_limit: int = 0) -> None:
         self._pages: Dict[int, bytearray] = {}
+        #: Sorted, disjoint ``(first_page, end_page, perms)`` extents, one
+        #: per ``map`` (split by a partial ``unmap``): what is mapped.
+        self._extents: List[Tuple[int, int, int]] = []
+        #: Per-page perms of the materialized pages and of the pages whose
+        #: perms ``protect`` changed; an entry wins over the extents.  A
+        #: page missing here is not necessarily unmapped: ask the extents.
         self._perms: Dict[int, int] = {}
         self.regions: List[Region] = []
         self.reserved_bytes = 0
@@ -79,6 +90,23 @@ class AddressSpace:
     # ------------------------------------------------------------------
     # Mapping management
     # ------------------------------------------------------------------
+    def _extent_at(self, idx: int) -> int:
+        """Position of the extent holding page ``idx`` or, if none holds
+        it, of the first extent above it."""
+        extents = self._extents
+        i = bisect_right(extents, idx, key=_extent_first) - 1
+        if i < 0 or extents[i][1] <= idx:
+            i += 1
+        return i
+
+    def _extent_perms(self, idx: int) -> Optional[int]:
+        """Perms the mapping gave page ``idx``; None if it is unmapped."""
+        extents = self._extents
+        i = self._extent_at(idx)
+        if i < len(extents) and extents[i][0] <= idx:
+            return extents[i][2]
+        return None
+
     def map(self, start: int, size: int, perms: int = PERM_RW,
             name: str = "anon") -> Region:
         """Map ``size`` bytes (page-rounded) at page-aligned ``start``."""
@@ -90,12 +118,13 @@ class AddressSpace:
         if start + size > ADDRESS_SPACE_SIZE:
             raise OutOfMemory(size, "mapping beyond 32-bit address space")
         first = start >> PAGE_SHIFT
-        count = size >> PAGE_SHIFT
-        for idx in range(first, first + count):
-            if idx in self._perms:
-                raise OutOfMemory(size, f"page 0x{idx << PAGE_SHIFT:08x} already mapped")
-        for idx in range(first, first + count):
-            self._perms[idx] = perms
+        end = first + (size >> PAGE_SHIFT)
+        extents = self._extents
+        i = self._extent_at(first)
+        if i < len(extents) and extents[i][0] < end:
+            lowest = max(first, extents[i][0])
+            raise OutOfMemory(size, f"page 0x{lowest << PAGE_SHIFT:08x} already mapped")
+        extents.insert(i, (first, end, perms))
         region = Region(name, start, size, perms)
         self.regions.append(region)
         self.reserved_bytes += size
@@ -109,13 +138,27 @@ class AddressSpace:
             raise ValueError(f"unaligned unmap at 0x{start:08x}")
         size = page_align_up(size)
         first = start >> PAGE_SHIFT
-        count = size >> PAGE_SHIFT
-        for idx in range(first, first + count):
-            if idx not in self._perms:
-                raise SegmentationFault(idx << PAGE_SHIFT, PAGE_SIZE, "unmap of unmapped page")
-        for idx in range(first, first + count):
-            del self._perms[idx]
-            self._pages.pop(idx, None)
+        end = first + (size >> PAGE_SHIFT)
+        extents = self._extents
+        i = j = self._extent_at(first)
+        cursor = first
+        while cursor < end:
+            if j == len(extents) or extents[j][0] > cursor:
+                raise SegmentationFault(cursor << PAGE_SHIFT, PAGE_SIZE, "unmap of unmapped page")
+            cursor = extents[j][1]
+            j += 1
+        kept = []
+        if i < j:
+            low, high = extents[i], extents[j - 1]
+            if low[0] < first:
+                kept.append((low[0], first, low[2]))
+            if high[1] > end:
+                kept.append((end, high[1], high[2]))
+        extents[i:j] = kept
+        perms, pages = self._perms, self._pages
+        for idx in [idx for idx in perms if first <= idx < end]:
+            del perms[idx]
+            pages.pop(idx, None)
         self.reserved_bytes -= size
         self.regions = [
             r for r in self.regions
@@ -124,19 +167,24 @@ class AddressSpace:
 
     def is_mapped(self, address: int) -> bool:
         """Whether the page containing ``address`` is mapped (guards count)."""
-        return (address >> PAGE_SHIFT) in self._perms
+        return self._extent_perms(address >> PAGE_SHIFT) is not None
 
     def is_accessible(self, address: int) -> bool:
         """Whether a 1-byte read at ``address`` would succeed."""
-        perms = self._perms.get(address >> PAGE_SHIFT, PERM_NONE)
+        idx = address >> PAGE_SHIFT
+        perms = self._perms.get(idx)
+        if perms is None:
+            perms = self._extent_perms(idx) or PERM_NONE
         return bool(perms & PERM_READ)
 
     def protect(self, start: int, size: int, perms: int) -> None:
         """Change permissions of an already-mapped page range."""
+        if start & PAGE_MASK:
+            raise ValueError(f"unaligned protect at 0x{start:08x}")
         first = start >> PAGE_SHIFT
         count = page_align_up(size) >> PAGE_SHIFT
         for idx in range(first, first + count):
-            if idx not in self._perms:
+            if self._extent_perms(idx) is None:
                 raise SegmentationFault(idx << PAGE_SHIFT, PAGE_SIZE, "protect of unmapped page")
             self._perms[idx] = perms
 
@@ -146,7 +194,9 @@ class AddressSpace:
     def _page_for(self, idx: int, write: bool, address: int, size: int) -> bytearray:
         perms = self._perms.get(idx)
         if perms is None:
-            raise SegmentationFault(address, size, "write" if write else "read")
+            perms = self._extent_perms(idx)
+            if perms is None:
+                raise SegmentationFault(address, size, "write" if write else "read")
         if perms & PERM_GUARD:
             raise GuardPageFault(address, size)
         needed = PERM_WRITE if write else PERM_READ
@@ -159,6 +209,7 @@ class AddressSpace:
                 raise OutOfMemory(PAGE_SIZE, "enclave commit limit reached")
             page = bytearray(PAGE_SIZE)
             self._pages[idx] = page
+            self._perms[idx] = perms
         return page
 
     def read(self, address: int, size: int) -> bytes:
@@ -288,6 +339,6 @@ class AddressSpace:
             "reserved_bytes": self.reserved_bytes,
             "peak_reserved": self.peak_reserved,
             "materialized_pages": len(self._pages),
-            "mapped_pages": len(self._perms),
+            "mapped_pages": self.reserved_bytes >> PAGE_SHIFT,
             "regions": len(self.regions),
         }

@@ -90,12 +90,16 @@ class FastCode:
 # Inlined memory accessors.  The common access — within one page, page
 # already materialized, ordinary permissions — skips the read_uint →
 # read_uN → read → _page_for call chain and the intermediate bytes copy.
-# Anything unusual (page crossing, guard/unmapped/protected page, a page
-# not yet materialized) falls back to the AddressSpace slow path, which
-# raises the same faults with the same messages.  The tracer fires
-# exactly once per access either way: the fast branch only runs after
-# every fallback condition has been ruled out, and it reads
-# ``space.tracer`` per access because bulk natives swap it out.
+# ``space._perms`` holds exactly the materialized pages plus the pages
+# ``protect`` overrode, each with its current perms; mapped but untouched
+# pages live only in the space's extent list.  A missing entry therefore
+# means "ask the slow path", never "unmapped": ``_page_for`` resolves it
+# from the extents, raises the same faults with the same messages, and
+# on materializing the page caches its perms here.  Anything else
+# unusual (page crossing, guard or read-only page) falls back the same
+# way.  The tracer fires exactly once per access either way: the fast
+# branch only runs after every fallback condition has been ruled out, and
+# it reads ``space.tracer`` per access because bulk natives swap it out.
 # PERM_READ=1 / PERM_RW=3 are frozen constants of the memory layout.
 # ---------------------------------------------------------------------------
 

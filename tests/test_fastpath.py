@@ -15,19 +15,27 @@ could plausibly diverge from the reference loop:
 * hoisted preheader checks (passes/loop_hoist.py) interacting with
   bnd/gep fusion;
 * the per-function code cache: reuse while identity holds, re-predecode
-  when ``fn.code`` is replaced, and fusion-site accounting.
+  when ``fn.code`` is replaced, and fusion-site accounting;
+* the inlined memory accessors on a page ``protect`` made read-only.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import SGXBoundsScheme
-from repro.errors import BoundsViolation, TrapError
+from repro.core import BoundlessCache, SGXBoundsScheme
+from repro.errors import BoundsViolation, SegmentationFault, TrapError
 from repro.ir import Function, IRBuilder, Module
+from repro.memory import PERM_READ
+from repro.memory.layout import PAGE_SIZE
 from repro.mpx import MPXScheme
 from repro.vm import VM
-from repro.vm.fastpath import FUSE_MAX, compile_function
+from repro.vm.fastpath import (
+    FUSE_MAX,
+    _fast_reader,
+    _fast_writer,
+    compile_function,
+)
 
 from tests.util import build, run_c
 
@@ -265,3 +273,49 @@ def test_calls_never_fused():
         if ins.op == ops.CALL:
             assert fc.costs[i] == 1
             assert fc.handlers[i] is fc.plain[i]
+
+
+# ---------------------------------------------------------------------------
+# Pages whose perms protect() changed (the boundless zero page)
+# ---------------------------------------------------------------------------
+
+def _read_only_zero_page(materialized_first):
+    """The boundless overlay's shared zero page, made read-only by
+    ``protect`` before it is materialized (as ``zero_page`` does) or
+    after a write has materialized it."""
+    vm = VM(scheme=SGXBoundsScheme(boundless=True))
+    if not materialized_first:
+        return vm, BoundlessCache().zero_page(vm)
+    page = vm.enclave.heap.mmap.alloc(PAGE_SIZE, "boundless-zero")
+    vm.space.write_u32(page, 0)
+    vm.space.protect(page, PAGE_SIZE, PERM_READ)
+    return vm, page
+
+
+@pytest.mark.parametrize("materialized_first", [False, True])
+def test_protected_zero_page_reads_fast_and_faults_on_write(
+        materialized_first):
+    vm, page = _read_only_zero_page(materialized_first)
+    space = vm.space
+    slow_reads, slow_writes = [], []
+    read_uint, write_uint = space.read_uint, space.write_uint
+    space.read_uint = lambda a, s: slow_reads.append(a) or read_uint(a, s)
+    space.write_uint = \
+        lambda a, v, s: slow_writes.append(a) or write_uint(a, v, s)
+    rd, wr = _fast_reader(space, 4), _fast_writer(space, 4)
+
+    # An untouched page takes the slow path once, which materializes it
+    # and caches its perms; from then on the fast reader serves it.
+    assert rd(page + 16) == 0
+    assert slow_reads == ([] if materialized_first else [page + 16])
+    assert rd(page + 32) == 0
+    assert len(slow_reads) == (0 if materialized_first else 1)
+
+    with pytest.raises(SegmentationFault) as fast:
+        wr(page + 16, 7)
+    assert slow_writes == [page + 16]
+    with pytest.raises(SegmentationFault) as slow:
+        write_uint(page + 16, 7, 4)
+    assert (type(fast.value), fast.value.address, str(fast.value)) \
+        == (type(slow.value), slow.value.address, str(slow.value))
+    assert rd(page + 16) == 0
