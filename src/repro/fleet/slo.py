@@ -42,11 +42,14 @@ class SLOTracker:
         #: Optional ``repro.forensics.anomaly.AnomalyMonitor``; when
         #: attached its alert tallies surface in :meth:`summary`.
         self.anomalies = anomalies
-        if registry is not None:
-            self.latency = registry.histogram("fleet.latency_cycles",
-                                              LATENCY_BOUNDS)
-        else:
-            self.latency = Histogram("fleet.latency_cycles", LATENCY_BOUNDS)
+        #: This campaign's own latency samples: the summary and the
+        #: latency detector read only these.
+        self.latency = Histogram("fleet.latency_cycles", LATENCY_BOUNDS)
+        #: The telemetry registry's histogram of the same name aggregates
+        #: every campaign sharing that registry; it is fed, never read.
+        self._registry_latency = registry.histogram(
+            "fleet.latency_cycles", LATENCY_BOUNDS) \
+            if registry is not None else None
         self.submitted = 0
         self.served = 0
         self.error_replies = 0
@@ -85,6 +88,8 @@ class SLOTracker:
             latency = (request.completed_at - request.arrival + 1) \
                 * self.tick_cycles
             self.latency.observe(latency)
+            if self._registry_latency is not None:
+                self._registry_latency.observe(latency)
             if cls is not None:
                 cls["served"] += 1
             # Timeliness is end-to-end: from the first client attempt,

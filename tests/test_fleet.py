@@ -367,6 +367,19 @@ class TestSLOTracker:
         assert summary["availability"] == 0.0
         assert summary["latency_p99_cycles"] is None
 
+    def test_shared_telemetry_does_not_leak_latency_across_campaigns(self):
+        """Campaigns sharing one registry feed its latency aggregate but
+        summarize only their own samples."""
+        from repro.telemetry import Telemetry
+        telemetry = Telemetry()
+        first = CampaignConfig(workers=2, seed=3, fault_rate=0.3)
+        second = CampaignConfig(workers=2, seed=7, fault_rate=0.0)
+        one = run_campaign(first, telemetry=telemetry).as_dict()["slo"]
+        two = run_campaign(second, telemetry=telemetry).as_dict()["slo"]
+        assert two == run_campaign(second).as_dict()["slo"]
+        shared = telemetry.registry.histogram("fleet.latency_cycles")
+        assert shared.count == one["served"] + two["served"]
+
 
 class TestWorkerServes:
     def test_blocking_worker_serves_one_request(self):
