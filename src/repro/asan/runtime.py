@@ -157,11 +157,9 @@ class ASanScheme(SchemeRuntime):
             old_raw, old_total = self._quarantine.popleft()
             self._quarantine_bytes -= old_total
             vm.enclave.heap.free(old_raw)
-        if vm.telemetry is not None:
-            registry = vm.telemetry.registry
-            registry.gauge("asan.quarantine_bytes").set(
-                self._quarantine_bytes)
-            registry.gauge("asan.redzone_bytes").set(self.redzone_bytes)
+        if vm.observer is not None:
+            vm.observer.gauge("asan.quarantine_bytes", self._quarantine_bytes)
+            vm.observer.gauge("asan.redzone_bytes", self.redzone_bytes)
 
     # -- globals -------------------------------------------------------------------
     def global_padding(self, var: "GlobalVar") -> Tuple[int, int]:

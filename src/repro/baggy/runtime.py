@@ -98,10 +98,9 @@ class BaggyScheme(SchemeRuntime):
         self._sizes[base] = size
         self.padding_bytes += (1 << order) - size
         vm.charge(10 + ((1 << order) >> SLOT_SHIFT) // 8)
-        if vm.telemetry is not None:
-            registry = vm.telemetry.registry
-            registry.gauge("baggy.padding_bytes").set(self.padding_bytes)
-            registry.histogram("baggy.alloc_order").observe(1 << order)
+        if vm.observer is not None:
+            vm.observer.gauge("baggy.padding_bytes", self.padding_bytes)
+            vm.observer.sample("baggy.alloc_order", 1 << order)
         return base
 
     def calloc(self, vm: "VM", count: int, size: int) -> int:

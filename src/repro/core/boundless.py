@@ -100,11 +100,10 @@ class BoundlessCache:
                 tally[rid] = tally.get(rid, 0) + nbytes
             else:
                 self.leak_tally_dropped += 1
-        telemetry = getattr(vm, "telemetry", None)
-        if telemetry is not None:
-            registry = telemetry.registry
-            registry.counter("boundless.oblivious_reads").inc()
-            registry.counter("boundless.leaked_bytes").inc(nbytes)
+        observer = getattr(vm, "observer", None)
+        if observer is not None:
+            observer.count("boundless.oblivious_reads")
+            observer.count("boundless.leaked_bytes", nbytes)
 
     # -- translation ---------------------------------------------------------
     def translate(self, vm: "VM", address: int, size: int,

@@ -98,12 +98,9 @@ class SGXBoundsScheme(SchemeRuntime):
         vm.space.write_u32(upper, base)          # *UB = LB (traced store)
         tagged = specify_bounds(base, upper)
         self.metadata_bytes += self._metadata_footprint()
-        telemetry = vm.telemetry
-        if telemetry is not None:
-            telemetry.registry.gauge("sgxbounds.metadata_bytes").set(
-                self.metadata_bytes)
-            telemetry.registry.histogram("sgxbounds.object_bytes").observe(
-                max(1, size))
+        if vm.observer is not None:
+            vm.observer.gauge("sgxbounds.metadata_bytes", self.metadata_bytes)
+            vm.observer.sample("sgxbounds.object_bytes", max(1, size))
         self.metadata.fire_create(vm, base, size, objtype, tagged)
         return tagged
 
@@ -219,9 +216,8 @@ class SGXBoundsScheme(SchemeRuntime):
             access="write" if is_write else "read"))
         if self.boundless:
             vm.charge(60)    # LRU lookup under the global lock (§5.1)
-            if vm.telemetry is not None:
-                vm.telemetry.registry.counter(
-                    "sgxbounds.boundless_redirects").inc()
+            if vm.observer is not None:
+                vm.observer.count("sgxbounds.boundless_redirects")
             return self.overlay.translate(vm, address, size, is_write)
         return address       # log-and-continue: the raw access proceeds
 

@@ -192,21 +192,18 @@ def run_campaign(config: CampaignConfig, telemetry=None,
                  forensics=None, obs=None) -> CampaignResult:
     """Run one seeded campaign to completion; deterministic end to end."""
     from repro import forensics as forensics_mod
-    from repro import obs as obs_mod
     from repro import telemetry as telemetry_mod
     from repro.harness.experiments import APP_CONFIG
 
-    telemetry = telemetry if telemetry is not None \
-        else telemetry_mod.get_default()
-    forensics = forensics if forensics is not None \
-        else forensics_mod.get_default()
-    if forensics is not None and not forensics.enabled:
-        forensics = None
-    obs = obs if obs is not None else obs_mod.get_default()
-    if obs is not None and not obs.enabled:
-        obs = None
-    if obs is not None:
-        obs.begin_campaign(config, forensics=forensics)
+    observer = telemetry_mod.Observer.of(
+        telemetry if telemetry is not None else telemetry_mod.get_default(),
+        forensics if forensics is not None else forensics_mod.get_default(),
+        obs)
+    telemetry = forensics = obs = None
+    if observer is not None:
+        observer.begin_campaign(config)
+        telemetry, forensics, obs = \
+            observer.telemetry, observer.forensics, observer.obs
     profile = _profile(config.app)
     mod = profile.module
     recovery_on = config.recovery != "none"
@@ -252,7 +249,7 @@ def run_campaign(config: CampaignConfig, telemetry=None,
                       watchdog_budget=config.watchdog_budget,
                       epc_spike_rate=config.epc_spike_rate,
                       faults_seed=derive(config.seed, "fleet-epc"),
-                      telemetry=telemetry, forensics=forensics, obs=obs)
+                      observer=observer)
         for wid in range(config.workers)]
     supervisor = Supervisor(
         [w.wid for w in workers],
@@ -261,7 +258,7 @@ def run_campaign(config: CampaignConfig, telemetry=None,
         tick_cycles=config.tick_cycles,
         crash_loop_k=config.crash_loop_k,
         crash_loop_window=config.crash_loop_window,
-        telemetry=telemetry, forensics=forensics)
+        observer=observer)
     controls = None
     if config.overload != "off":
         from repro.overload import PRIORITIES, build_controls
@@ -271,21 +268,19 @@ def run_campaign(config: CampaignConfig, telemetry=None,
             client_retries=config.client_retries,
             retry_refill=config.retry_refill,
             retry_burst=config.retry_burst,
-            telemetry=telemetry, forensics=forensics)
+            observer=observer)
     balancer = Balancer(workers, supervisor, policy=config.balance,
                         queue_cap=config.queue_cap,
                         max_attempts=config.max_attempts,
                         hedge_stranded=config.hedge_stranded,
                         breaker_threshold=config.breaker_threshold,
                         breaker_cooldown=config.breaker_cooldown,
-                        telemetry=telemetry, forensics=forensics,
+                        observer=observer,
                         admission=controls.admission
                         if controls is not None else None,
                         tick_cycles=config.tick_cycles
-                        if controls is not None else None,
-                        obs=obs)
-    registry = telemetry.registry \
-        if (telemetry is not None and telemetry.enabled) else None
+                        if controls is not None else None)
+    registry = telemetry.registry if telemetry is not None else None
     slo = SLOTracker(config.tick_cycles, registry=registry,
                      anomalies=forensics.monitor
                      if forensics is not None else None,
@@ -299,8 +294,8 @@ def run_campaign(config: CampaignConfig, telemetry=None,
 
         def _spare_worker(wid: int) -> EnclaveWorker:
             # Replicas and audit oracles: same build/scheme/policy as the
-            # serving workers, but no telemetry/forensics/noise hookup —
-            # they are standbys and measurement shadows, not chaos targets.
+            # serving workers, but no observer or noise hookup — they are
+            # standbys and measurement shadows, not chaos targets.
             return EnclaveWorker(wid, module, config.scheme,
                                  policy=config.policy, config=enclave_config,
                                  watchdog_budget=config.watchdog_budget)
@@ -310,7 +305,7 @@ def run_campaign(config: CampaignConfig, telemetry=None,
             tick_cycles=config.tick_cycles,
             checkpoint_interval=config.checkpoint_interval,
             worker_factory=_spare_worker, audit=config.recovery_audit,
-            telemetry=telemetry, forensics=forensics)
+            observer=observer)
         for worker in workers:
             manager.attach(worker)
     result = CampaignResult(config)
@@ -381,9 +376,9 @@ def run_campaign(config: CampaignConfig, telemetry=None,
             if supervisor.running(wid):
                 workers[wid].inject_hang(config.hang[2])
                 result.events.append((now, "hang_injected", wid, ""))
-                if forensics is not None:
-                    forensics.fleet_event("hang_injected", now, wid=wid,
-                                          ticks=config.hang[2])
+                if observer is not None:
+                    observer.fleet("hang_injected", now, wid,
+                                   ticks=config.hang[2])
         # 3. Supervisor timers (promotions + reboots).
         for wid in supervisor.tick(now):
             workers[wid].boot()

@@ -29,6 +29,7 @@ from repro.errors import (
 )
 from repro.faults import FaultInjector, derive
 from repro.harness.runner import build_server_vm
+from repro.telemetry.observer import Observer
 from repro.vm import machine as vm_mod
 from repro.vm import policy as violation_policy
 from repro.workloads import NetworkSim
@@ -63,8 +64,8 @@ class EnclaveWorker:
                  policy: Optional[str] = None, config=None,
                  scheme_kwargs=None, watchdog_budget: int = 200_000,
                  epc_spike_rate: float = 0.0,
-                 faults_seed: Optional[int] = None, telemetry=None,
-                 forensics=None, mutates=None, obs=None):
+                 faults_seed: Optional[int] = None, observer=None,
+                 mutates=None):
         self.wid = wid
         self.module = module              # compiled, uninstrumented base
         self.scheme_name = scheme_name
@@ -74,13 +75,11 @@ class EnclaveWorker:
         self.watchdog_budget = watchdog_budget
         self.epc_spike_rate = epc_spike_rate
         self.faults_seed = faults_seed
-        self.telemetry = telemetry
-        self.forensics = forensics \
-            if (forensics is not None and forensics.enabled) else None
-        #: Optional ``repro.obs.Observability``; when attached, each
-        #: completed service attempt reports its counter delta (exact
-        #: because workers are depth-1) for critical-path attribution.
-        self.obs = obs if (obs is not None and obs.enabled) else None
+        #: The campaign's :class:`~repro.telemetry.observer.Observer`:
+        #: dispatch records, per-attempt attribution samples, crash
+        #: postmortems; its telemetry and forensics sinks observe every
+        #: incarnation's VM.
+        self.observer = observer
         #: Predicate classifying request payloads as state-mutating; only
         #: set when the campaign runs with stateful recovery enabled.
         self.mutates = mutates
@@ -101,19 +100,23 @@ class EnclaveWorker:
     def boot(self) -> None:
         """Build a fresh incarnation (new scheme clone, enclave, VM)."""
         self.incarnations += 1
+        observer = self.observer
+        forensics = observer.forensics if observer is not None else None
         vm, scheme = build_server_vm(
             self.module, self.scheme_name, config=self.config,
             scheme_kwargs=self.scheme_kwargs, policy=self.policy,
-            telemetry=self.telemetry, forensics=self.forensics)
+            telemetry=observer.telemetry if observer is not None else None,
+            forensics=forensics)
         vm.net_blocking = True
         vm.net = NetworkSim()
         vm.worker_id = self.wid
-        if self.forensics is not None:
+        if forensics is not None:
             # The balancer's rid is the request identity fleet-wide; the
             # worker stamps it at submit, so recv must not overwrite it
-            # with the NetworkSim message id.
+            # with the NetworkSim message id.  The worker's connection
+            # feeds the flight recorder only, never the metrics registry.
             vm.external_rids = True
-            vm.net.forensics = self.forensics
+            vm.net.observer = Observer.of(forensics=forensics)
             vm.net.clock = (lambda v=vm: v.counters.instructions)
         if self.epc_spike_rate > 0.0 and self.faults_seed is not None:
             # Noisy-neighbour analog: a co-tenant occasionally thrashes
@@ -172,28 +175,19 @@ class EnclaveWorker:
             self.inflight = (rid, payload)
             self._dedup_ack = True
             self.deduped += 1
-            if self.forensics is not None:
-                self.forensics.record(
-                    "dedup", ts=vm.counters.instructions, cat="fleet",
-                    rid=rid, wid=self.wid)
+            if self.observer is not None:
+                self.observer.fleet("dedup", vm.counters.instructions,
+                                    self.wid, rid)
             return
         if mutating and self.recovery is not None:
             self.recovery.on_dispatch(self.wid, rid, payload)
         self.inflight = (rid, payload)
         self._sent_seen = len(vm.net.sent(self.conn))
         self._dispatch_instr = vm.counters.instructions - max(0, waited_cycles)
-        if self.obs is not None:
-            from repro.telemetry.profiler import ATTRIB_FIELDS
-            self._obs_snap = (
-                tuple(getattr(vm.counters, f) for f in ATTRIB_FIELDS),
-                vm.enclave.cycles())
         mid = vm.net.push(self.conn, payload, priority=priority, trace=trace)
-        if self.forensics is not None:
-            vm.request_id = rid
-            vm.request_payload = payload
-            self.forensics.record(
-                "dispatch", ts=vm.counters.instructions, cat="fleet",
-                rid=rid, wid=self.wid, conn=self.conn, mid=mid)
+        if self.observer is not None:
+            self._obs_snap = self.observer.worker_dispatch(
+                vm, rid, self.wid, self.conn, mid, payload)
         vm.unblock_net_waiters(self.conn)
 
     def inject_hang(self, ticks: int) -> None:
@@ -327,16 +321,10 @@ class EnclaveWorker:
         self._sent_seen = len(sent)       # swallow multi-part replies
         rid, payload = self.inflight
         self.inflight = None
-        if self.obs is not None and self._obs_snap is not None:
-            from repro.telemetry.profiler import ATTRIB_FIELDS
-            snap, cycles0 = self._obs_snap
+        if self._obs_snap is not None:
+            self.observer.enclave_sample(self.vm, rid, self.wid,
+                                         self._obs_snap)
             self._obs_snap = None
-            now = tuple(getattr(self.vm.counters, f)
-                        for f in ATTRIB_FIELDS)
-            delta = {f: now[i] - snap[i]
-                     for i, f in enumerate(ATTRIB_FIELDS)}
-            self.obs.enclave_sample(rid, self.wid, delta,
-                                    self.vm.enclave.cycles() - cycles0)
         if reply == ERROR_MARKER:
             self.error_replies += 1
             return [(rid, ERROR)]
@@ -351,11 +339,9 @@ class EnclaveWorker:
         self.total_cycles += self.vm.enclave.cycles()
         self.total_epc_faults += self.vm.counters.epc_faults
         stranded = self.inflight[0] if self.inflight is not None else None
-        if (self.forensics is not None and self.last_error is not None
-                and not getattr(self.last_error,
-                                "_postmortem_captured", False)):
+        if self.observer is not None and self.last_error is not None:
             payload = self.inflight[1] if self.inflight is not None else None
-            self.forensics.capture(
+            self.observer.capture(
                 self.vm, self.last_error, reason=reason, rid=stranded,
                 payload=payload, wid=self.wid, thread=self._fault_thread)
         self.inflight = None

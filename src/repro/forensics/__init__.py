@@ -15,18 +15,17 @@ Three cooperating pieces (see DESIGN.md, "Forensics & flight recorder"):
   latency-percentile regression, crash-loop precursor) emitting alert
   records into the event log.
 
-Like telemetry, forensics is off by default and zero-cost when off: no
-VM, enclave, network or fleet hot path does forensics work unless a
-``Forensics`` object is attached, and attaching one never changes
-simulated counters — every capture path reads memory with the cache/EPC
-tracer detached and charges nothing.
+Components feed the recorder through the one
+:class:`~repro.telemetry.observer.Observer` handle (DESIGN.md,
+"Observer"); attaching a ``Forensics`` never changes simulated counters
+— every capture path reads memory with the cache/EPC tracer detached and
+charges nothing.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.errors import BoundsViolation
 from repro.forensics.anomaly import (
     AnomalyMonitor,
     CrashLoopPrecursorDetector,
@@ -42,7 +41,6 @@ from repro.forensics.postmortem import (
     decode_pointer,
     render_postmortem,
 )
-from repro.vm import policy as violation_policy
 
 #: Postmortem reports retained per Forensics handle (deterministic: the
 #: *first* N triggers are kept, later ones only counted).
@@ -55,9 +53,8 @@ POSTMORTEM_LAST_N = 32
 class Forensics:
     """One forensics context: flight recorder + postmortems + anomalies.
 
-    ``enabled=False`` constructs a permanently inert handle: attaching it
-    to a VM is a no-op and the VM keeps its forensics-free fast paths —
-    the exact contract :class:`repro.telemetry.Telemetry` honours.
+    ``enabled=False`` constructs a permanently inert handle: an
+    :class:`~repro.telemetry.observer.Observer` treats it as absent.
     """
 
     def __init__(self, enabled: bool = True, capacity: int = 4096,
@@ -77,44 +74,12 @@ class Forensics:
         self.postmortems: List[Dict[str, object]] = []
         self.postmortems_dropped = 0
 
-    # -- lifecycle -------------------------------------------------------
-    def attach_vm(self, vm) -> None:
-        """Hook this handle into a VM's enclave (EPC fault/flush records)."""
-        vm.enclave.attach_forensics(self)
-
     # -- recording passthrough -------------------------------------------
     def record(self, kind: str, ts: int = 0, cat: str = "",
                rid: Optional[int] = None, wid: Optional[int] = None,
                **detail) -> None:
         self.recorder.record(kind, ts=ts, cat=cat, rid=rid, wid=wid,
                              **detail)
-
-    # -- enclave hooks ---------------------------------------------------
-    def epc_fault(self, page: int, ts: int, resident: int) -> None:
-        self.recorder.record("epc_fault", ts=ts, cat="epc", page=page,
-                             resident=resident)
-
-    def epc_flush(self, evicted: int) -> None:
-        self.recorder.record("epc_flush", cat="epc", evicted=evicted)
-
-    # -- scheme hook -----------------------------------------------------
-    def on_violation(self, vm, scheme, err: BoundsViolation,
-                     tid: int) -> None:
-        """Called from ``SchemeRuntime.handle_violation`` once the policy
-        outcome is stamped.  Terminal policies (abort, drop-request) get
-        a full postmortem — the stack is still intact here; continuing
-        policies only leave an event record (chaos runs tolerate
-        thousands of violations)."""
-        rid = getattr(vm, "request_id", None)
-        self.recorder.record(
-            "violation", ts=vm.counters.instructions, cat="scheme",
-            rid=rid, wid=getattr(vm, "worker_id", None), tid=tid,
-            scheme=scheme.name, address=err.address, lower=err.lower,
-            upper=err.upper, access=err.access, function=err.function,
-            outcome=err.outcome)
-        if scheme.policy in (violation_policy.ABORT,
-                             violation_policy.DROP_REQUEST):
-            self.capture(vm, err)
 
     # -- postmortems -----------------------------------------------------
     def capture(self, vm, err, reason: Optional[str] = None,
@@ -147,19 +112,6 @@ class Forensics:
                              trigger=report["trigger"],
                              index=len(self.postmortems) - 1)
         return report
-
-    # -- fleet hooks -----------------------------------------------------
-    def fleet_event(self, kind: str, now: int, wid: Optional[int] = None,
-                    rid: Optional[int] = None, **detail) -> None:
-        """Lifecycle record on the tick clock (dispatch/crash/restart/
-        breaker/requeue/expire)."""
-        self.recorder.record(kind, ts=now, cat="fleet", rid=rid, wid=wid,
-                             **detail)
-
-    def fleet_crash(self, now: int, wid: int, reason: str) -> None:
-        """A worker crashed: record it and feed the crash-loop precursor."""
-        self.fleet_event("worker_crash", now, wid=wid, reason=reason)
-        self.monitor.on_crash(now, wid)
 
     # -- export ----------------------------------------------------------
     def summary(self) -> Dict[str, object]:

@@ -134,6 +134,7 @@ def chaos_availability(apps: Sequence[str] = ("memcached", "nginx", "apache"),
     from repro import telemetry as telemetry_mod
     telemetry = telemetry if telemetry is not None \
         else telemetry_mod.get_default()
+    observer = telemetry_mod.Observer.of(telemetry)
     chunks: List[str] = []
     data: Dict[str, Dict] = {}
     exhibit: Optional[Dict] = None
@@ -165,10 +166,10 @@ def chaos_availability(apps: Sequence[str] = ("memcached", "nginx", "apache"),
                         "status": r.crashed or "ok",
                     }
                     data[app_name][(scheme, policy, rate)] = record
-                    if telemetry is not None and telemetry.enabled:
-                        telemetry.registry.gauge(
-                            f"chaos.{app_name}.{scheme}.{policy}"
-                            f".rate_{rate}.availability").set(availability)
+                    if observer is not None:
+                        observer.gauge(f"chaos.{app_name}.{scheme}.{policy}"
+                                       f".rate_{rate}.availability",
+                                       availability)
                     rows.append([scheme, policy, rate, net_stats["pushed"],
                                  responses, availability, cycles_per,
                                  record["dropped"], record["retries"],

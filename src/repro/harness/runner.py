@@ -71,8 +71,8 @@ class RunResult:
 def _finish(result: RunResult, vm: VM,
             scheme: Optional[SchemeRuntime]) -> RunResult:
     counters = vm.enclave.finalize()
-    if vm.telemetry is not None and vm.fastpath_stats:
-        vm.telemetry.fastpath_hits(vm.fastpath_stats)
+    if vm.observer is not None:
+        vm.observer.fastpath_hits(vm.fastpath_stats)
     result.cycles = counters.cycles
     result.counters = counters.snapshot()
     result.peak_reserved = vm.enclave.memory_report()["peak_reserved_bytes"]
@@ -112,8 +112,8 @@ def run_workload(workload: Workload, scheme_name: str,
     vm = VM(enclave=enclave, scheme=scheme,
             max_instructions=max_instructions, telemetry=telemetry,
             forensics=forensics, fastpath=fastpath)
-    if vm.telemetry is not None:
-        vm.telemetry.label_run(f"{workload.name}/{scheme_name}/{size}")
+    if vm.observer is not None:
+        vm.observer.label_run(f"{workload.name}/{scheme_name}/{size}")
     try:
         vm.load(module)
         result.result = vm.run("main", args)
@@ -121,8 +121,8 @@ def run_workload(workload: Workload, scheme_name: str,
         result.crashed = "OOM"
     except ReproError as err:
         result.crashed = type(err).__name__
-        if vm.forensics is not None:
-            vm.forensics.capture(vm, err)
+        if vm.observer is not None:
+            vm.observer.capture(vm, err)
     return _finish(result, vm, scheme)
 
 
@@ -181,11 +181,9 @@ def run_server(source: str, requests_by_conn: Sequence[Sequence[bytes]],
                                  forensics=forensics, fastpath=fastpath)
     vm.net = net if net is not None else NetworkSim()
     vm.faults = faults
-    if vm.telemetry is not None:
-        vm.telemetry.label_run(f"{name}/{scheme_name}")
-        vm.net.telemetry = vm.telemetry
-    if vm.forensics is not None:
-        vm.net.forensics = vm.forensics
+    if vm.observer is not None:
+        vm.observer.label_run(f"{name}/{scheme_name}")
+        vm.net.observer = vm.observer
         vm.net.clock = (lambda v=vm: v.counters.instructions)
     for conn_requests in requests_by_conn:
         vm.net.connect(*conn_requests)
@@ -197,8 +195,8 @@ def run_server(source: str, requests_by_conn: Sequence[Sequence[bytes]],
         result.crashed = type(err).__name__
         if isinstance(err, BoundsViolation):
             result.violation = err.context()
-        if vm.forensics is not None:
-            vm.forensics.capture(vm, err)
+        if vm.observer is not None:
+            vm.observer.capture(vm, err)
     out = _finish(result, vm, scheme)
     out.net = vm.net
     if scheme is not None and scheme.violation_log and out.violation is None:

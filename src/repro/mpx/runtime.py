@@ -97,11 +97,10 @@ class MPXScheme(SchemeRuntime):
             vm.space.write_u64(bd_entry, table)
             self.bounds_tables += 1
             vm.charge(200)    # exception + in-enclave allocation path
-            if vm.telemetry is not None:
-                registry = vm.telemetry.registry
-                registry.counter("mpx.bounds_tables_allocated").inc()
-                registry.gauge("mpx.bt_reserved_bytes").set(
-                    self.bounds_tables * self.bt_size)
+            if vm.observer is not None:
+                vm.observer.count("mpx.bounds_tables_allocated")
+                vm.observer.gauge("mpx.bt_reserved_bytes",
+                                  self.bounds_tables * self.bt_size)
         self._bt_cache[region] = table
         return table
 

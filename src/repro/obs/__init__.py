@@ -18,16 +18,14 @@ Four cooperating pieces (see DESIGN.md, "Request observatory"):
   snapshot merging telemetry counters, SLO summaries, alert states and
   every drop counter.
 
-Like telemetry and forensics, the observatory is off by default and
-zero-cost when off: no fleet hot path does observability work unless an
-:class:`Observability` handle is attached, attaching one never charges
-simulated counters, and default campaign output is byte-identical with
-the subsystem absent or disabled.
+Fleet components reach the observatory through the one
+:class:`~repro.telemetry.observer.Observer` handle (DESIGN.md,
+"Observer"); attaching it never charges simulated counters.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.obs.attribution import (
     COMPONENTS,
@@ -43,10 +41,8 @@ from repro.obs.trace import HOP_KINDS, FleetTracer, RequestTrace, TraceContext
 class Observability:
     """One campaign's observability context: tracer + ledger + alerts.
 
-    ``enabled=False`` constructs a permanently inert handle — attaching
-    it anywhere is a no-op and every component keeps its obs-free fast
-    path, the exact contract :class:`repro.telemetry.Telemetry` and
-    :class:`repro.forensics.Forensics` honour.
+    ``enabled=False`` constructs a permanently inert handle: an
+    :class:`~repro.telemetry.observer.Observer` treats it as absent.
     """
 
     def __init__(self, enabled: bool = True, seed: int = 0,
@@ -58,11 +54,11 @@ class Observability:
         self._bound = False
 
     # -- campaign lifecycle ---------------------------------------------
-    def begin_campaign(self, config, forensics=None) -> None:
+    def begin_campaign(self, config, recorder=None) -> None:
         """Bind to one campaign: seed the trace-id space, route alert
-        fire/clear events into the campaign's flight recorder."""
+        fire/clear events into the campaign's ``Forensics`` recorder."""
         self.tracer.seed = config.seed
-        self.burn.recorder = forensics
+        self.burn.recorder = recorder
         self._bound = True
 
     # -- request lifecycle hooks (campaign/balancer/worker call these) --
@@ -132,21 +128,6 @@ class Observability:
         return self.tracer.chrome_trace(tick_cycles=tick_cycles)
 
 
-#: Process-wide default observability, set by CLI flags; campaigns fall
-#: back to it when no explicit handle is passed (None = off, the
-#: zero-cost default).
-_default: Optional[Observability] = None
-
-
-def set_default(obs: Optional[Observability]) -> None:
-    global _default
-    _default = obs
-
-
-def get_default() -> Optional[Observability]:
-    return _default
-
-
 __all__ = [
     "AttributionLedger",
     "BurnRateEngine",
@@ -160,8 +141,6 @@ __all__ = [
     "RequestTrace",
     "TraceContext",
     "decompose_trace",
-    "get_default",
     "render_exposition",
     "scheme_tax",
-    "set_default",
 ]

@@ -88,7 +88,7 @@ class RecoveryManager:
     def __init__(self, mode: str, app, app_name: str, tick_cycles: int,
                  checkpoint_interval: int, worker_factory,
                  sealing: Optional[SealingService] = None,
-                 audit: bool = True, telemetry=None, forensics=None):
+                 audit: bool = True, observer=None):
         if mode not in MODES:
             raise ValueError(f"unknown recovery mode {mode!r}; "
                              f"expected one of {MODES}")
@@ -100,10 +100,9 @@ class RecoveryManager:
         self.worker_factory = worker_factory
         self.sealing = sealing or SealingService()
         self.audit_enabled = audit
-        self.telemetry = telemetry \
-            if (telemetry is not None and telemetry.enabled) else None
-        self.forensics = forensics \
-            if (forensics is not None and forensics.enabled) else None
+        #: Optional :class:`~repro.telemetry.observer.Observer` for the
+        #: ``recovery_<kind>`` events.
+        self.observer = observer
         self.snapshots = mode in (SNAPSHOT, SNAPSHOT_WAL, REPLICA)
         self.wal_replay = mode in (SNAPSHOT_WAL, REPLICA)
         self.replicated = mode == REPLICA
@@ -126,11 +125,8 @@ class RecoveryManager:
         return -(-max(0, cycles) // self.tick_cycles)
 
     def _event(self, kind: str, wid: int, now: int, **detail) -> None:
-        if self.telemetry is not None:
-            self.telemetry.fleet_event(f"recovery_{kind}", wid, now)
-        if self.forensics is not None:
-            self.forensics.fleet_event(f"recovery_{kind}", now, wid=wid,
-                                       **detail)
+        if self.observer is not None:
+            self.observer.fleet(f"recovery_{kind}", now, wid, **detail)
 
     # ------------------------------------------------------------------
     def attach(self, worker) -> None:

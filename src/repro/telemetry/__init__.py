@@ -12,9 +12,9 @@ Three cooperating pieces (see DESIGN.md, "Telemetry & attribution"):
   and the scheme-vs-native overhead decomposition (Table 3's
   check / cache / EPC-fault cycle split).
 
-Telemetry is off by default and zero-cost when off: no VM, enclave or
-network hot path does telemetry work unless a ``Telemetry`` object is
-attached, and attaching one never changes simulated counters.
+Components reach telemetry (and the forensics and obs sinks) only
+through one :class:`~repro.telemetry.observer.Observer` handle; see
+DESIGN.md, "Observer".
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
     exponential_bounds,
 )
+from repro.telemetry.observer import Observer
 from repro.telemetry.profiler import (
     ATTRIB_FIELDS,
     FunctionProfile,
@@ -59,6 +60,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "Observer",
     "SpanTracer",
     "Telemetry",
     "attribute_overhead",

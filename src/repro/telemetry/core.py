@@ -13,15 +13,11 @@ in the exported Chrome trace.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import Dict
 
-from repro.errors import BoundsViolation
 from repro.telemetry.metrics import MetricsRegistry, exponential_bounds
 from repro.telemetry.profiler import FunctionProfile, flame_rows
 from repro.telemetry.tracer import SpanTracer
-
-if TYPE_CHECKING:   # pragma: no cover - typing only
-    from repro.vm.machine import VM
 
 #: Cycle-ish bucket edges for request/span durations (instructions).
 SPAN_BOUNDS = exponential_bounds(start=16, factor=2, count=22)
@@ -43,20 +39,14 @@ class Telemetry:
         self._open_requests: Dict[tuple, tuple] = {}
 
     # -- lifecycle -------------------------------------------------------
-    def attach_vm(self, vm: "VM") -> None:
-        """Hook this telemetry into a VM and its enclave (one pid lane)."""
+    def begin_run(self) -> None:
+        """Open the next run's process lane in the trace (one per VM)."""
         self._runs += 1
         self.tracer.pid = self._runs
-        vm.enclave.attach_telemetry(self)
 
     def label_run(self, name: str) -> None:
         """Name the current run's process lane in the trace."""
         self.tracer.label_process(name)
-
-    def fresh_functions(self) -> FunctionProfile:
-        """Swap in an empty per-function profile (per-run attribution)."""
-        self.functions = FunctionProfile()
-        return self.functions
 
     # -- VM hooks --------------------------------------------------------
     def function_enter(self, name: str, tid: int, ts: int) -> None:
@@ -95,65 +85,6 @@ class Telemetry:
         self.registry.counter("vm.requests_dropped").inc()
         self.tracer.unwind(tid, depth, ts)
         self.tracer.instant("request_dropped", ts, tid, cat="recovery")
-
-    # -- enclave / scheme hooks ------------------------------------------
-    def epc_fault(self, page: int, ts: int, resident: int) -> None:
-        self.registry.counter("epc.faults").inc()
-        self.registry.histogram("epc.resident_pages").observe(
-            max(1, resident))
-        self.tracer.instant("epc_fault", ts, 0, cat="epc",
-                            args={"page": page})
-
-    def epc_flush(self, evicted: int) -> None:
-        self.registry.counter("epc.flushes").inc()
-        self.registry.counter("epc.flush_evictions").inc(evicted)
-        self.tracer.instant("epc_flush", self.tracer.last_ts, 0, cat="epc",
-                            args={"evicted": evicted})
-
-    def violation(self, scheme: str, err: BoundsViolation, ts: int,
-                  tid: int = 0) -> None:
-        self.registry.counter(f"violations.{scheme}").inc()
-        self.tracer.instant("bounds_violation", ts, tid, cat="violation",
-                            args={"scheme": scheme,
-                                  "address": err.address,
-                                  "access": getattr(err, "access", None)})
-
-    # -- fleet hooks ------------------------------------------------------
-    def fleet_event(self, kind: str, wid: int, tick: int,
-                    detail: str = "") -> None:
-        """Lifecycle event from the fleet supervisor/balancer
-        (crash/restart/dead/breaker-open/watchdog)."""
-        self.registry.counter(f"fleet.{kind}").inc()
-        self.tracer.instant(f"fleet_{kind}", self.tracer.last_ts, wid,
-                            cat="fleet",
-                            args={"worker": wid, "tick": tick,
-                                  "detail": detail})
-
-    def overload_event(self, kind: str, tick: int,
-                       priority: str = "") -> None:
-        """Admission/brownout event from the overload layer
-        (reject-deadline/reject-shed/brownout level changes)."""
-        self.registry.counter(f"overload.{kind}").inc()
-        self.tracer.instant(f"overload_{kind}", self.tracer.last_ts, 0,
-                            cat="overload",
-                            args={"tick": tick, "priority": priority})
-
-    # -- run-end collection ----------------------------------------------
-    def collect_counters(self, snapshot: Dict[str, int],
-                         prefix: str = "sgx") -> None:
-        """Publish a final PerfCounters snapshot as gauges."""
-        for name, value in snapshot.items():
-            self.registry.gauge(f"{prefix}.{name}").set(value)
-
-    def fastpath_hits(self, stats: Dict[str, int]) -> None:
-        """Publish the VM's dynamic superinstruction hit counts as the
-        ``vm.fastpath.<kind>`` counter family.  Zero-hit kinds are not
-        published: a reference-interpreter run (or a scheme that fuses
-        nothing) leaves the registry without fastpath entries, so counter
-        parity between the two interpreters stays a hard invariant."""
-        for kind, hits in stats.items():
-            if hits:
-                self.registry.counter(f"vm.fastpath.{kind}").inc(hits)
 
     # -- export ----------------------------------------------------------
     def chrome_trace(self) -> Dict[str, object]:

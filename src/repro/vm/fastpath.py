@@ -732,7 +732,7 @@ def _make_call(ins, consts, i, counters, vm, track_bounds):
     args = ins.args
     plan = _arg_plan(args, consts)
     name = ins.name
-    telem = vm.telemetry
+    telem = vm._telemetry
     program = vm.program
 
     if name is not None:
@@ -827,7 +827,7 @@ def _make_call(ins, consts, i, counters, vm, track_bounds):
 
 def _make_ret(ins, consts, counters, vm, track_bounds, mem):
     a = ins.a
-    telem = vm.telemetry
+    telem = vm._telemetry
     read_u64 = mem.reader(8)
     aval = None if a is None or a >= 0 else consts[-a - 1]
     def h(frame, regs, thread):
@@ -1158,7 +1158,7 @@ def compile_function(vm, fn, consts) -> FastCode:
     # Fusion hits are only tallied when telemetry observes the run: the
     # default path keeps the zero-cost-when-off contract.
     stats = None
-    if vm.telemetry is not None and fusion:
+    if vm._telemetry is not None and fusion:
         stats = vm.fastpath_stats
         for kind in ("gep_load", "gep_store", "cmp_br", "bnd_access",
                      "chain"):

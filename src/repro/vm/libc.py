@@ -230,21 +230,8 @@ def _net_recv(vm, thread, args):
     d_addr, d_ok = _range(vm, buf, len(data), True, 1)
     vm.bulk_write(d_addr, data[:d_ok])
     vm.charge(len(data) // 8)
-    if vm.telemetry is not None:
-        vm.telemetry.request_boundary(thread.tid, vm.counters.instructions,
-                                      conn, len(data))
-    if vm.forensics is not None:
-        mid = getattr(vm.net, "last_recv_mid", None)
-        if not vm.external_rids:
-            # Single-server runs: the NetworkSim message id is the
-            # request id.  Fleet workers set external_rids and stamp the
-            # balancer's rid at submit time instead.
-            vm.request_id = mid
-            vm.request_payload = data
-        vm.forensics.record(
-            "request_recv", ts=vm.counters.instructions, cat="request",
-            rid=vm.request_id, wid=vm.worker_id, tid=thread.tid,
-            conn=conn, mid=mid, nbytes=len(data))
+    if vm.observer is not None:
+        vm.observer.request_recv(vm, thread.tid, conn, data)
     if vm.scheme.policy == violation_policy.DROP_REQUEST:
         # Ask the VM to checkpoint this thread at the CALL boundary; a
         # violation while handling this request then rolls back here.

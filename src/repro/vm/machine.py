@@ -45,6 +45,7 @@ from repro.memory.layout import (
 )
 from repro.sgx.cache import LINE_SIZE
 from repro.sgx.enclave import Enclave
+from repro.telemetry.observer import Observer
 from repro.vm import policy as violation_policy
 from repro.vm.loader import Program, load_program
 from repro.vm.scheme import SchemeRuntime
@@ -259,19 +260,16 @@ class VM:
         self.space = self.enclave.space
         self.counters = self.enclave.counters
         self.scheme = scheme or SchemeRuntime()
-        #: Observability hook (``repro.telemetry.Telemetry``).  None — the
-        #: default — keeps every hot path telemetry-free; a disabled
-        #: Telemetry object is normalized to None for the same reason.
-        self.telemetry = telemetry \
-            if (telemetry is not None and telemetry.enabled) else None
-        if self.telemetry is not None:
-            self.telemetry.attach_vm(self)
-        #: Forensics hook (``repro.forensics.Forensics``); same contract
-        #: as telemetry — None by default, normalized, observation-only.
-        self.forensics = forensics \
-            if (forensics is not None and forensics.enabled) else None
-        if self.forensics is not None:
-            self.forensics.attach_vm(self)
+        #: The run's one observability hook, built from the enabled sinks
+        #: (None when neither is; see :mod:`repro.telemetry.observer`).
+        self.observer = Observer.of(telemetry, forensics)
+        #: The telemetry sink the per-instruction hooks feed (function
+        #: segments, CALL/RET spans, fusion tallies), bound once here so a
+        #: run without telemetry pays one local ``is None`` test.
+        self._telemetry = None
+        if self.observer is not None:
+            self.observer.attach_vm(self)
+            self._telemetry = self.observer.telemetry
         #: Request correlation (forensics): the id/payload of the request
         #: currently being served, and whether ids come from an external
         #: dispatcher (the fleet balancer) or from NetworkSim message ids.
@@ -370,9 +368,9 @@ class VM:
             frame.bounds.update(arg_bounds)
         thread.sp = new_sp
         thread.frames.append(frame)
-        if self.telemetry is not None:
-            self.telemetry.function_enter(fn.name, thread.tid,
-                                          self.counters.instructions)
+        if self._telemetry is not None:
+            self._telemetry.function_enter(fn.name, thread.tid,
+                                           self.counters.instructions)
         return frame
 
     # ------------------------------------------------------------------
@@ -509,26 +507,12 @@ class VM:
         self.charge(RECOVERY_COST)
         self.dropped_requests += 1
         self.recovered_requests += 1
-        if self.telemetry is not None:
-            self.telemetry.request_dropped(thread.tid,
-                                           self.counters.instructions,
-                                           len(thread.frames))
-        if self.forensics is not None:
-            self.forensics.record(
-                "request_dropped", ts=self.counters.instructions,
-                cat="request", rid=self.request_id, wid=self.worker_id,
-                tid=thread.tid, conn=ckpt.conn,
-                reason=type(err).__name__)
+        if self.observer is not None:
+            self.observer.request_dropped(self, thread, ckpt.conn, err)
         net = getattr(self, "net", None)
         if net is not None and hasattr(net, "fail_request"):
             net.fail_request(ckpt.conn, ckpt.request)
         return True
-
-    def call_stack(self, thread: Optional[Thread] = None) -> List[dict]:
-        """MiniC call stack with source locations (forensics helper);
-        see :func:`repro.forensics.postmortem.capture_stack`."""
-        from repro.forensics.postmortem import capture_stack
-        return capture_stack(self, thread=thread)
 
     def _corrupted_return(self, actual: int) -> None:
         target = actual & ADDRESS_MASK
@@ -558,7 +542,7 @@ class VM:
         """
         self.current = thread
         program = self.program
-        telem = self.telemetry
+        telem = self._telemetry
         counters = self.counters
 
         self._executed += quantum   # upper bound; cheap budget check
@@ -614,7 +598,7 @@ class VM:
         binops = _BIN
         program = self.program
         natives = self.natives
-        telem = self.telemetry
+        telem = self._telemetry
 
         self._executed += quantum   # upper bound; cheap budget check
         if self._executed > self.max_instructions:

@@ -74,10 +74,6 @@ class SchemeRuntime:
                 tid = thread.tid
                 if not err.function and thread.frames:
                     err.function = thread.frames[-1].fn.name
-            telemetry = getattr(vm, "telemetry", None)
-            if telemetry is not None:
-                telemetry.violation(self.name, err,
-                                    vm.counters.instructions, tid)
         if self.policy == violation_policy.ABORT:
             err.outcome = "aborted"
         elif self.policy == violation_policy.DROP_REQUEST:
@@ -87,13 +83,12 @@ class SchemeRuntime:
         else:
             err.outcome = "logged"
         self._record_violation(err)
-        if vm is not None:
-            # Forensics observes after the outcome is stamped: terminal
-            # policies get a full postmortem while the faulting thread's
-            # stack is still intact (the VM unwinds it right after).
-            forensics = getattr(vm, "forensics", None)
-            if forensics is not None:
-                forensics.on_violation(vm, self, err, tid)
+        observer = getattr(vm, "observer", None)
+        if observer is not None:
+            # Observed after the outcome is stamped: terminal policies get
+            # a full postmortem while the faulting thread's stack is still
+            # intact (the VM unwinds it right after).
+            observer.violation(vm, self, err, tid)
         if self.policy == violation_policy.ABORT:
             raise err
         if self.policy == violation_policy.DROP_REQUEST:

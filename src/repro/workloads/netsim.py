@@ -105,14 +105,11 @@ class NetworkSim:
         #: Last fully delivered message per connection ``(mid, payload)``;
         #: the message whose failure a ``fail_request`` would report.
         self._await_outcome: Dict[int, Tuple[int, bytes]] = {}
-        #: Optional ``repro.telemetry.Telemetry``; when attached, delivery
-        #: events are published into its metrics registry.
-        self.telemetry = None
-        #: Optional ``repro.forensics.Forensics``; when attached, retry
-        #: and error-reply paths record events carrying the originating
-        #: message id (``stats()`` aggregates lose it).
-        self.forensics = None
-        #: Clock for forensic records (callable returning the simulated
+        #: Optional :class:`~repro.telemetry.observer.Observer`: delivery
+        #: events feed its metrics, and retry/error/reject events carry
+        #: the originating message id (``stats()`` aggregates lose it).
+        self.observer = None
+        #: Clock for flight records (callable returning the simulated
         #: timestamp); the VM wires its instruction counter in here.
         self.clock = None
         #: Message id of the most recent :meth:`recv` delivery (full or
@@ -128,10 +125,6 @@ class NetworkSim:
         #: object is gone by the time ``fail_request`` re-queues it)
         #: keeps its causal identity.  Empty outside obs runs.
         self._traces: Dict[int, str] = {}
-
-    def _now(self) -> int:
-        """Simulated timestamp for forensic records (0 without a clock)."""
-        return self.clock() if self.clock is not None else 0
 
     def _stats(self, conn: int) -> ConnStats:
         stats = self.conn_stats.get(conn)
@@ -202,8 +195,8 @@ class NetworkSim:
             self._attempts.pop(prev[0], None)
             self._traces.pop(prev[0], None)
         self._await_outcome[conn] = (message.mid, message.payload)
-        if self.telemetry is not None:
-            self.telemetry.registry.counter("net.delivered").inc()
+        if self.observer is not None:
+            self.observer.net("net_delivered", self.clock)
         return data
 
     def send(self, conn: int, data: bytes) -> None:
@@ -215,11 +208,8 @@ class NetworkSim:
             return
         self._outgoing.setdefault(conn, []).append(data)
         self._stats(conn).responses += 1
-        if self.telemetry is not None:
-            registry = self.telemetry.registry
-            registry.counter("net.responses").inc()
-            registry.histogram("net.response_bytes").observe(
-                max(1, len(data)))
+        if self.observer is not None:
+            self.observer.net("net_response", self.clock, nbytes=len(data))
 
     def fail_request(self, conn: int, raw: bytes) -> bool:
         """The server dropped ``raw`` mid-flight (drop-request recovery).
@@ -242,8 +232,6 @@ class NetworkSim:
         if attempt < self.retry_limit:
             self._attempts[mid] = attempt + 1
             stats.retries += 1
-            if self.telemetry is not None:
-                self.telemetry.registry.counter("net.retries").inc()
             backoff = self.backoff_cycles << attempt
             if self._rng is not None:
                 backoff += self._rng.randrange(0, self.backoff_cycles // 4 + 1)
@@ -253,23 +241,19 @@ class NetworkSim:
             # never a fresh root.
             self._incoming.setdefault(conn, deque()).append(
                 self._message(raw, mid=mid, trace=self._traces.get(mid)))
-            if self.forensics is not None:
-                self.forensics.record(
-                    "net_retry", ts=self._now(), cat="net", conn=conn,
-                    mid=mid, attempt=attempt + 1,
-                    backoff_cycles=backoff)
+            if self.observer is not None:
+                self.observer.net("net_retry", self.clock, conn=conn,
+                                  mid=mid, attempt=attempt + 1,
+                                  backoff_cycles=backoff)
             return True
         self._attempts.pop(mid, None)
         self._traces.pop(mid, None)
         stats.failed += 1
         stats.errors += 1
         stats.error_replies += 1
-        if self.telemetry is not None:
-            self.telemetry.registry.counter("net.request_errors").inc()
-        if self.forensics is not None:
-            self.forensics.record(
-                "net_error", ts=self._now(), cat="net", conn=conn,
-                mid=mid, attempts=attempt)
+        if self.observer is not None:
+            self.observer.net("net_error", self.clock, conn=conn, mid=mid,
+                              attempts=attempt)
         # Surface the failure to the client without counting it as a
         # served response.
         self._outgoing.setdefault(conn, []).append(ERROR_MARKER)
@@ -285,11 +269,8 @@ class NetworkSim:
         stats = self._stats(conn)
         stats.rejected += 1
         self._outgoing.setdefault(conn, []).append(REJECTED_MARKER)
-        if self.telemetry is not None:
-            self.telemetry.registry.counter("net.rejected").inc()
-        if self.forensics is not None:
-            self.forensics.record(
-                "net_rejected", ts=self._now(), cat="net", conn=conn)
+        if self.observer is not None:
+            self.observer.net("net_rejected", self.clock, conn=conn)
 
     def sent(self, conn: int) -> List[bytes]:
         """Everything the server wrote to ``conn``."""

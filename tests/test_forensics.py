@@ -36,7 +36,7 @@ from repro.forensics import (
 from repro.harness.runner import run_workload
 from repro.mpx import MPXScheme
 from repro.sgx.counters import COUNTER_FIELDS
-from repro.telemetry import Telemetry, flame_rows
+from repro.telemetry import Observer, Telemetry, flame_rows
 from repro.telemetry.tracer import SpanTracer
 from repro.workloads import get
 from repro.workloads.netsim import NetworkSim
@@ -254,10 +254,15 @@ class TestZeroOverhead:
                                 threads=1, forensics=Forensics(enabled=False))
         enabled = run_workload(get("histogram"), "sgxbounds", size="XS",
                                threads=1, forensics=Forensics())
+        # Both sinks attached drive the enclave's observed trace hook.
+        both = run_workload(get("histogram"), "sgxbounds", size="XS",
+                            threads=1, telemetry=Telemetry(),
+                            forensics=Forensics())
         for field in COUNTER_FIELDS:
             assert absent.counters[field] == disabled.counters[field]
             assert absent.counters[field] == enabled.counters[field]
-        assert absent.result == enabled.result
+            assert absent.counters[field] == both.counters[field]
+        assert absent.result == enabled.result == both.result
 
     def test_campaign_results_identical_with_forensics(self):
         cfg = CampaignConfig(app="memcached", policy="drop-request",
@@ -321,7 +326,7 @@ class TestNetSimCorrelation:
     def test_push_returns_mid_and_retry_records_carry_it(self):
         forensics = Forensics()
         net = NetworkSim(retry_limit=1)
-        net.forensics = forensics
+        net.observer = Observer.of(forensics=forensics)
         conn = net.connect()
         mid = net.push(conn, b"req")
         assert isinstance(mid, int)
@@ -340,7 +345,7 @@ class TestNetSimCorrelation:
     def test_netsim_clock_stamps_timestamps(self):
         forensics = Forensics()
         net = NetworkSim(retry_limit=1)
-        net.forensics = forensics
+        net.observer = Observer.of(forensics=forensics)
         net.clock = lambda: 4242
         conn = net.connect(b"x")
         net.recv(conn, 64)

@@ -20,15 +20,18 @@ from repro.obs import (
     scheme_tax,
 )
 from repro.obs.trace import FleetTracer, mint_trace_id
+from repro.forensics import Forensics
+from repro.telemetry import Telemetry
 from repro.telemetry.tracer import SpanTracer
 from repro.workloads.netsim import NetworkSim
 
 
-def _campaign(obs=None, **overrides):
+def _campaign(obs=None, telemetry=None, forensics=None, **overrides):
     defaults = dict(app="memcached", scheme="sgxbounds", workers=2,
                     fault_rate=0.0, seed=7, size="XS")
     defaults.update(overrides)
-    return run_campaign(CampaignConfig(**defaults), obs=obs)
+    return run_campaign(CampaignConfig(**defaults), telemetry=telemetry,
+                        forensics=forensics, obs=obs)
 
 
 class TestTraceIdentity:
@@ -319,6 +322,24 @@ class TestZeroCostWhenOff:
         assert "obs" in observed
         observed.pop("obs")
         assert observed == plain
+
+    def test_result_identical_with_all_three_sinks(self):
+        """Telemetry, forensics and obs attached at once through one
+        observer change nothing the simulation computed, on a faulty
+        campaign that crashes, drops and requeues requests."""
+        faulty = dict(fault_rate=0.3, policy="abort")
+        plain = _campaign(**faulty).as_dict()
+        telemetry = Telemetry()
+        forensics = Forensics()
+        observed = _campaign(Observability(seed=7), telemetry=telemetry,
+                             forensics=forensics, **faulty).as_dict()
+        assert observed.pop("obs")["trace"]["traces"] > 0
+        assert observed.pop("forensics")["events_recorded"] > 0
+        observed["slo"].pop("alerts")
+        assert observed == plain
+        assert telemetry.registry.counter("fleet.crash").value \
+            + telemetry.registry.counter("fleet.dead").value \
+            == plain["crashes"]
 
     def test_disabled_handle_is_inert(self):
         disabled = Observability(enabled=False, seed=7)

@@ -19,7 +19,7 @@ from repro.redteam.triage import (
     NO_EFFECT,
     triage,
 )
-from repro.telemetry import Telemetry
+from repro.telemetry import Observer, Telemetry
 from tests.util import run_c
 
 CATALOG = compile_catalog()
@@ -207,7 +207,7 @@ class _LeakVM:
     def __init__(self, request_id=None, telemetry=None):
         if request_id is not None:
             self.request_id = request_id
-        self.telemetry = telemetry
+        self.observer = Observer.of(telemetry=telemetry)
 
 
 class TestLeakAccounting:

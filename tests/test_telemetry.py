@@ -28,12 +28,13 @@ from repro.harness.profile import normalize_target, profile_experiment
 from repro.harness.runner import (RunResult, geomean, overhead,
                                   run_server, run_workload)
 from repro.sgx.counters import COUNTER_FIELDS, PerfCounters
-from repro.telemetry import (Telemetry, attribute_overhead,
+from repro.telemetry import (Observer, Telemetry, attribute_overhead,
                              exponential_bounds, flame_rows, get_default,
                              set_default, to_jsonable)
 from repro.telemetry.metrics import (DEFAULT_BOUNDS, Histogram,
                                      MetricsRegistry)
 from repro.telemetry.tracer import SpanTracer
+from repro.vm import VM
 from repro.workloads import get
 from repro.workloads.apps import memcached
 
@@ -384,6 +385,62 @@ class TestSatellites:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert math.isclose(geomean([2.0, float("nan"), 8.0]), 4.0)
+
+
+# ---------------------------------------------------------------------------
+def _disabled_sinks():
+    from repro.forensics import Forensics
+    from repro.obs import Observability
+    return dict(telemetry=Telemetry(enabled=False),
+                forensics=Forensics(enabled=False),
+                obs=Observability(enabled=False))
+
+
+class TestObserver:
+    def test_of_keeps_only_enabled_sinks(self):
+        assert Observer.of() is None
+        assert Observer.of(**_disabled_sinks()) is None
+        telemetry = Telemetry()
+        observer = Observer.of(telemetry, _disabled_sinks()["forensics"])
+        assert observer.telemetry is telemetry
+        assert observer.forensics is None and observer.obs is None
+
+    def test_disabled_sinks_leave_every_component_unobserved(
+            self, monkeypatch):
+        """Passing only disabled sinks to every entry point leaves each
+        internal component's observer None."""
+        from repro.fleet import Balancer, EnclaveWorker, Supervisor
+        from repro.fleet.campaign import CampaignConfig, run_campaign
+        from repro.overload import AdmissionController
+        from repro.recovery import RecoveryManager
+
+        built = []
+        for cls in (Balancer, Supervisor, EnclaveWorker, RecoveryManager,
+                    AdmissionController):
+            def init(self, *args, _init=cls.__init__, **kwargs):
+                _init(self, *args, **kwargs)
+                built.append(self)
+            monkeypatch.setattr(cls, "__init__", init)
+        config = CampaignConfig(workers=2, fault_rate=0.3, seed=7,
+                                recovery="snapshot+wal",
+                                overload="protected")
+        run_campaign(config, **_disabled_sinks())
+        assert {type(c) for c in built} == {
+            Balancer, Supervisor, EnclaveWorker, RecoveryManager,
+            AdmissionController}
+        for component in built:
+            assert component.observer is None, type(component).__name__
+        sinks = _disabled_sinks()
+        del sinks["obs"]
+        served = run_server(memcached.SOURCE, [memcached.workload(4)],
+                            "sgxbounds", 4, **sinks)
+        assert served.net.observer is None
+        vms = [c.vm for c in built if isinstance(c, EnclaveWorker)]
+        for vm in vms + [VM(**sinks)]:
+            assert vm.observer is None and vm._telemetry is None
+            assert vm.enclave.observer is None
+            assert vm.enclave.epc.observer is None
+        assert all(vm.net.observer is None for vm in vms)
 
 
 # ---------------------------------------------------------------------------
