@@ -31,7 +31,7 @@ ROUNDS = 3
 def _modules():
     mods = []
     for workload in by_suite("phoenix") + by_suite("parsec"):
-        module = compile_source(workload.source, workload.name).clone()
+        module = compile_source(workload.source, workload.name)
         module.finalize()
         mods.append((workload, module))
     return mods

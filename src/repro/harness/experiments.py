@@ -25,7 +25,6 @@ from repro.harness.runner import (
 from repro.sgx import EnclaveConfig
 from repro.workloads import by_suite, get
 from repro.workloads.apps import apache, memcached, nginx, sqlite_kv
-from repro.minic import compile_source
 from repro.workloads.registry import Workload
 
 #: Enclave configs per experiment regime.

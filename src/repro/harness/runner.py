@@ -102,7 +102,8 @@ def run_workload(workload: Workload, scheme_name: str,
     result = RunResult(workload.name, scheme_name, size, args[1])
     scheme = SCHEMES[scheme_name](**(scheme_kwargs or {}))
     module = compile_source(workload.source, workload.name)
-    module = scheme.instrument(module) if scheme else module.clone()
+    if scheme:
+        module = scheme.instrument(module)
     module.finalize()
     enclave = Enclave(config) if config is not None else Enclave()
     telemetry = telemetry if telemetry is not None \

@@ -97,7 +97,8 @@ def triage_program(spec: AttackSpec, scheme_name: str,
     scheme = (SCHEMES[scheme_name](policy=policy)
               if scheme_name != "native" else None)
     module = compile_source(spec.source, spec.name)
-    module = scheme.instrument(module) if scheme else module.clone()
+    if scheme:
+        module = scheme.instrument(module)
     module.finalize()
     forensics = Forensics(enabled=True)
     vm = VM(scheme=scheme, forensics=forensics)

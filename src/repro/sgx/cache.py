@@ -54,6 +54,8 @@ class Cache:
         return False
 
     def flush(self) -> None:
+        # Clear in place, never rebind: the enclave's L1-hit trace hook
+        # holds a reference to this dict.
         self.flushes += 1
         self._data.clear()
 

@@ -15,9 +15,11 @@ from typing import Dict, Optional
 from repro.memory.address_space import AddressSpace, PERM_GUARD
 from repro.memory.allocator import FreeListAllocator
 from repro.memory.layout import GUARD_PAGE_BASE, PAGE_SHIFT, PAGE_SIZE
-from repro.sgx.cache import CacheHierarchy
+from repro.sgx.cache import LINE_SHIFT, LINE_SIZE, CacheHierarchy
 from repro.sgx.counters import CostModel, PerfCounters
 from repro.sgx.epc import EPC
+
+LINE_MASK = LINE_SIZE - 1
 
 
 @dataclass(frozen=True)
@@ -73,9 +75,6 @@ class EnclaveConfig:
     #: Crash-restart pricing (used by the fleet supervisor; never charged
     #: on single-run paths).
     cold_start: ColdStartModel = field(default_factory=ColdStartModel)
-    #: Fraction of accesses sampled through the cache/EPC model (1 = all).
-    #: Lowering it speeds large sweeps up; counters are scaled back up.
-    sample_shift: int = 0
 
     def outside_sgx(self) -> "EnclaveConfig":
         """The same machine without EPC/MEE constraints (Fig. 12)."""
@@ -102,17 +101,44 @@ class Enclave:
         self.observer = None
         # The unaddressable last page (paper §4.4) protects hoisted checks.
         self.space.map(GUARD_PAGE_BASE, PAGE_SIZE, PERM_GUARD, "guard")
-        self.space.tracer = self._trace
+        self.space.tracer = self._l1_hit_tracer(self._trace)
 
     def attach(self, observer) -> None:
         """Install ``observer``'s trace hook (EPC fault/flush events to
         every attached sink; counters unchanged)."""
         self.observer = observer
-        self.space.tracer = self._trace_observed
+        self.space.tracer = self._l1_hit_tracer(self._trace_observed)
         if self.epc is not None:
             self.epc.observer = observer
 
     # ------------------------------------------------------------------
+    def _l1_hit_tracer(self, slow):
+        """The installed trace hook: charges an L1 hit within one line
+        itself, exactly as ``slow`` (:meth:`_trace` or
+        :meth:`_trace_observed`) would, and passes every other access to
+        ``slow``.  The hit test only reads state, so ``slow`` sees the
+        caches untouched.  ``Cache.flush`` clears ``_data`` in place,
+        which keeps the bound dict valid."""
+        counters = self.counters
+        l1_data = self.caches.l1._data
+        l1_sets = self.caches.l1.sets
+
+        def trace(address: int, size: int, is_write: bool) -> None:
+            if (address & LINE_MASK) + size <= LINE_SIZE:
+                line = address >> LINE_SHIFT
+                ways = l1_data.get(line % l1_sets)
+                if ways is not None and line in ways:
+                    if is_write:
+                        counters.stores += 1
+                    else:
+                        counters.loads += 1
+                    counters.l1_accesses += 1
+                    del ways[line]
+                    ways[line] = None
+                    return
+            slow(address, size, is_write)
+        return trace
+
     def _trace(self, address: int, size: int, is_write: bool) -> None:
         counters = self.counters
         if is_write:

@@ -229,8 +229,6 @@ def run_attack(name: str,
     module = compile_source(source, name)
     if scheme is not None:
         module = scheme.instrument(module)
-    else:
-        module = module.clone()
     module.finalize()
     vm = VM(scheme=scheme)
     vm.load(module)

@@ -1,12 +1,16 @@
-"""Unit tests for the MiniC lexer and parser."""
+"""Unit tests for the MiniC lexer, parser and compile memo."""
 
 import pytest
 
 from repro.errors import CompileError
+from repro.harness.runner import SCHEMES
+from repro.minic import _compile_template, compile_source
 from repro.minic.lexer import tokenize
 from repro.minic.parser import parse
 from repro.minic import ast_nodes as ast
 from repro.minic import ctypes as ct
+from repro.passes.safe_access import run_safe_access
+from repro.vm import VM
 
 
 class TestLexer:
@@ -135,7 +139,6 @@ class TestParser:
             parse("int f() { return 1 }")
 
     def test_break_outside_loop_caught_in_codegen(self):
-        from repro.minic import compile_source
         with pytest.raises(CompileError, match="break"):
             compile_source("int f() { break; return 0; }")
 
@@ -146,3 +149,95 @@ class TestParser:
     def test_struct_redefinition_rejected(self):
         with pytest.raises(CompileError, match="redefined"):
             parse("struct A { int x; }; struct A { int y; };")
+
+
+class TestCompileMemo:
+    """``compile_source`` runs the frontend once per (source, name) and
+    hands every caller a private clone of that one result."""
+
+    SOURCE = """
+    struct P { int a; int b; };
+    int table[8];
+    char *greeting = "hi";
+    double scale = 1.5;
+    int twice(int x) { return 2 * x; }
+    int main() {
+        struct P p;
+        int local[4];
+        int i;
+        p.a = 1;
+        p.b = 2;
+        for (i = 0; i < 4; i++) {
+            local[i] = i;
+            table[i] = twice(local[i]);
+        }
+        local[3] = 7;
+        return p.a + p.b + table[3] + local[3] + greeting[0]
+            + (int)(scale * 2.0);
+    }
+    """
+    NAME = "memo"
+    EXPECTED = 1 + 2 + 6 + 7 + ord("h") + 3
+
+    @staticmethod
+    def dump(module):
+        """Everything the frontend puts in a module, as plain values."""
+        def value(v):
+            return (type(v).__name__, repr(v))
+
+        def instr(ins):
+            return tuple(value(getattr(ins, slot)) for slot in ins.__slots__)
+
+        return {
+            "name": module.name,
+            "meta": dict(module.meta),
+            "globals": [
+                (name, var.size, var.init, var.align, var.is_const,
+                 var.array_elem, [(off, value(ref)) for off, ref in var.relocs])
+                for name, var in module.globals.items()],
+            "functions": [
+                (name, fn.params, fn.varargs, fn.nregs, fn.reg_names,
+                 [value(c) for c in fn.consts], fn.finalized,
+                 [(blk.name, [instr(ins) for ins in blk.instrs])
+                  for blk in fn.blocks])
+                for name, fn in module.functions.items()],
+        }
+
+    def cold(self):
+        _compile_template.cache_clear()
+        return compile_source(self.SOURCE, self.NAME)
+
+    def test_calls_return_distinct_equal_modules(self):
+        first = self.cold()
+        second = compile_source(self.SOURCE, self.NAME)
+        assert first is not second
+        for name, fn in first.functions.items():
+            other = second.functions[name]
+            assert fn is not other
+            assert all(a is not b for a, b in zip(fn.blocks, other.blocks))
+        assert self.dump(first) == self.dump(second)
+
+    def test_callers_cannot_disturb_later_compiles(self):
+        first = self.cold()
+        pristine = self.dump(first)
+        # Native last: it finalizes ``first`` itself.
+        for scheme_name in sorted(SCHEMES, key=lambda n: n == "native"):
+            scheme = SCHEMES[scheme_name]()
+            module = scheme.instrument(first) if scheme else first
+            vm = VM(scheme=scheme)
+            vm.load(module.finalize())
+            assert vm.run("main") == self.EXPECTED, scheme_name
+        assert self.dump(first) != pristine
+        raw = compile_source(self.SOURCE, self.NAME)
+        assert run_safe_access(raw) > 0
+        assert self.dump(raw) != pristine
+        assert self.dump(compile_source(self.SOURCE, self.NAME)) == pristine
+        assert self.dump(self.cold()) == pristine
+
+    def test_compile_error_raised_on_every_call(self):
+        bad = "int f() { break; return 0; }"
+        cached = _compile_template.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(CompileError, match="break"):
+                compile_source(bad, "bad")
+        assert _compile_template.cache_info().currsize == cached

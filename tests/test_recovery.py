@@ -33,15 +33,11 @@ from repro.workloads.apps import memcached, sqlite_server
 
 APP_CONFIG = EnclaveConfig(epc_bytes=2 * 1024 * 1024)
 
-_MODULES = {}
-
 
 def _worker(app, wid=0, policy="abort"):
-    """A recovery-enabled enclave worker (module compiled once per app)."""
+    """A recovery-enabled enclave worker."""
     name = app.__name__.rsplit(".", 1)[-1]
-    module = _MODULES.get(name)
-    if module is None:
-        module = _MODULES[name] = compile_source(app.RECOVERY_SOURCE, name)
+    module = compile_source(app.RECOVERY_SOURCE, name)
     return EnclaveWorker(wid, module, "sgxbounds", policy=policy,
                          config=APP_CONFIG)
 

@@ -1,7 +1,10 @@
 """Unit tests for the SGX cost model: caches, EPC, cycle accounting."""
 
+import random
+
 import pytest
 
+from repro.memory.layout import PAGE_SHIFT
 from repro.sgx import (
     Cache,
     CacheHierarchy,
@@ -155,3 +158,87 @@ class TestEnclave:
         assert a.snapshot()["loads"] == 1
         a.reset()
         assert a.instructions == 0
+
+
+class _ReferenceMachine:
+    """The enclave's accounting spelled out step by step, as in
+    ``Enclave._trace``: every access through both cache levels, then the
+    EPC on a memory access."""
+
+    def __init__(self, config: EnclaveConfig):
+        self.caches = CacheHierarchy(config.l1_bytes, config.llc_bytes)
+        self.epc = EPC(config.epc_bytes)
+        self.counters = PerfCounters()
+
+    def trace(self, address: int, size: int, is_write: bool) -> None:
+        counters = self.counters
+        if is_write:
+            counters.stores += 1
+        else:
+            counters.loads += 1
+        if self.caches.access(address, size, counters) == 2:
+            counters.mee_decrypts += 1
+            if self.epc.touch(address >> PAGE_SHIFT):
+                counters.epc_faults += 1
+
+
+class _CountingObserver:
+    epc_faults = 0
+
+    def epc_fault(self, page, instructions, resident):
+        self.epc_faults += 1
+
+    def epc_flush(self, evicted):
+        pass
+
+
+def _cache_state(cache: Cache):
+    return {index: list(ways) for index, ways in cache._data.items()}
+
+
+class TestL1HitTracer:
+    """The installed trace hook charges L1 hits inline; every stream must
+    leave the same counters and LRU state as the reference model."""
+
+    CONFIG = EnclaveConfig(l1_bytes=16 * LINE_SIZE, llc_bytes=64 * LINE_SIZE,
+                           epc_bytes=4 * 4096)
+
+    @pytest.mark.parametrize("observed", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_streams_match_reference(self, seed, observed):
+        rng = random.Random(seed)
+        enclave = Enclave(self.CONFIG)
+        observer = _CountingObserver()
+        if observed:
+            enclave.attach(observer)
+        reference = _ReferenceMachine(self.CONFIG)
+        trace = enclave.space.tracer
+        sets = enclave.caches.l1.sets
+        # Lines that share an L1 set (and a few LLC sets) so that
+        # evictions and re-appends happen often, spread over 8 pages.
+        lines = [rng.randrange(sets) + k * sets for k in range(12)] \
+            + [rng.randrange(512) for _ in range(20)]
+        for _ in range(4000):
+            roll = rng.random()
+            if roll < 0.02:
+                enclave.caches.flush()
+                reference.caches.flush()
+                continue
+            if roll < 0.03:
+                enclave.epc.flush()
+                reference.epc.flush()
+                continue
+            address = rng.choice(lines) * LINE_SIZE + rng.randrange(LINE_SIZE)
+            size = rng.choice((1, 2, 4, 8, 16))
+            is_write = rng.random() < 0.4
+            trace(address, size, is_write)
+            reference.trace(address, size, is_write)
+        assert enclave.counters == reference.counters
+        assert enclave.counters.l1_accesses > enclave.counters.l1_misses > 0
+        assert _cache_state(enclave.caches.l1) \
+            == _cache_state(reference.caches.l1)
+        assert _cache_state(enclave.caches.llc) \
+            == _cache_state(reference.caches.llc)
+        assert list(enclave.epc._resident) == list(reference.epc._resident)
+        if observed:
+            assert observer.epc_faults == enclave.counters.epc_faults > 0

@@ -17,8 +17,6 @@ def build(source: str, scheme: Optional[SchemeRuntime] = None,
     module = compile_source(source)
     if scheme is not None:
         module = scheme.instrument(module)
-    else:
-        module = module.clone()
     if verify:
         verify_module(module)
     return module.finalize()
