@@ -20,8 +20,7 @@ hole.  This package simulates that layer end to end:
 * :mod:`repro.fleet.slo` — availability + latency percentiles from
   deterministic histograms;
 * :mod:`repro.fleet.campaign` — seeded fault scenarios (poison storms,
-  EPC-thrash noisy neighbours, watchdog hangs) scripted into one
-  reproducible run.
+  flash crowds, watchdog hangs) scripted into one reproducible run.
 
 Campaigns can additionally run with stateful recovery
 (:mod:`repro.recovery`): sealed checkpoints, write-ahead replay of

@@ -120,9 +120,8 @@ class Balancer:
 
     def __init__(self, workers, supervisor: Supervisor,
                  policy: str = ROUND_ROBIN, queue_cap: int = 2,
-                 max_attempts: int = 2, hedge_stranded: bool = True,
-                 breaker_threshold: int = 3, breaker_cooldown: int = 25,
-                 observer=None, admission=None,
+                 max_attempts: int = 2, breaker_threshold: int = 3,
+                 breaker_cooldown: int = 25, observer=None, admission=None,
                  tick_cycles: Optional[int] = None):
         if policy not in POLICIES:
             raise ValueError(f"unknown balance policy {policy!r}; "
@@ -133,7 +132,6 @@ class Balancer:
         self.policy = policy
         self.queue_cap = queue_cap
         self.max_attempts = max_attempts
-        self.hedge_stranded = hedge_stranded
         #: Optional :class:`~repro.telemetry.observer.Observer`: every
         #: queue/dispatch/retry/hedge transition and breaker trip is an
         #: event.  None keeps every path below observer-free.
@@ -338,9 +336,9 @@ class Balancer:
     def on_worker_crash(self, wid: int, stranded_rid: Optional[int],
                         now: int) -> List[Request]:
         """Crash fallout: the in-flight request consumes an attempt (and
-        retries if budget remains); queued requests either hedge back to
-        the global pending queue or fail with the worker.  Returns
-        requests that reached a terminal state here."""
+        retries if budget remains); queued requests hedge back to the
+        global pending queue, whether the worker restarts or is dead.
+        Returns requests that reached a terminal state here."""
         terminal: List[Request] = []
         breaker = self.breakers[wid]
         was_open = breaker.state == OPEN
@@ -365,29 +363,18 @@ class Balancer:
                 request.detail = "crash; retries exhausted"
                 request.completed_at = now
                 terminal.append(request)
+        # Hedged re-dispatch: queue assignment never consumed an attempt,
+        # so hand the whole queue straight back (in order).  Zombies die
+        # with the worker — their client is long gone.
         queued = self.queues[wid]
-        if self.hedge_stranded:
-            # Hedged re-dispatch: queue assignment never consumed an
-            # attempt, so hand the whole queue straight back (in order).
-            # Zombies die with the worker — their client is long gone.
-            while queued:
-                waiting = queued.pop()
-                if waiting.terminal:
-                    continue
-                self.pending.appendleft(waiting)
-                if self.observer is not None:
-                    self.observer.fleet("hedged", now, rid=waiting.rid,
-                                        hop={"wid": wid, "reason": "hedge"})
-        elif self.supervisor.status(wid) == "dead":
-            while queued:
-                waiting = queued.popleft()
-                if waiting.terminal:
-                    continue
-                waiting.status = "failed"
-                waiting.detail = "worker dead"
-                waiting.completed_at = now
-                terminal.append(waiting)
-        # else: sticky queueing — requests wait out the restart in place.
+        while queued:
+            waiting = queued.pop()
+            if waiting.terminal:
+                continue
+            self.pending.appendleft(waiting)
+            if self.observer is not None:
+                self.observer.fleet("hedged", now, rid=waiting.rid,
+                                    hop={"wid": wid, "reason": "hedge"})
         return terminal
 
     def _fail_backlog(self, now: int) -> List[Request]:

@@ -2,7 +2,7 @@
 
 One campaign = one app, one scheme, one violation policy, N workers, and
 a deterministic scenario: client traffic (optionally poisoned through the
-chaos fuzzer), optional EPC-thrash noisy neighbours, optional scripted
+chaos fuzzer), optional poison storms and flash crowds, optional scripted
 watchdog hangs.  Everything random derives from ``derive(seed, salt)``
 sub-seeds, and the tick loop visits workers in id order, so two campaigns
 with identical configs are byte-identical — reports, traces and all.
@@ -12,7 +12,7 @@ The tick loop::
     arrivals → scenario events → supervisor timers → dispatch
              → workers run (wid order) → outcomes → SLO
 
-Each tick is ``tick_cycles`` simulated cycles of every running worker;
+Each tick is :data:`TICK_CYCLES` simulated cycles of every running worker;
 restart costs from the cold-start model translate into ticks a worker
 spends in ``restarting``, which is where fail-stop's availability gap
 comes from.
@@ -30,6 +30,9 @@ from repro.fleet.supervisor import Supervisor
 from repro.fleet.worker import EnclaveWorker
 from repro.minic import compile_source
 
+#: Simulated cycles of every running worker per campaign tick.
+TICK_CYCLES = 5_000
+
 
 @dataclass(frozen=True)
 class CampaignConfig:
@@ -43,22 +46,14 @@ class CampaignConfig:
     seed: int = 1234
     size: str = "XS"
     arrivals_per_tick: int = 2
-    tick_cycles: int = 5_000
     watchdog_budget: int = 200_000
     rewarm_scale: float = 1.0
     balance: str = "round-robin"
-    queue_cap: int = 2
-    max_attempts: int = 2
-    hedge_stranded: bool = True
-    breaker_threshold: int = 3
-    breaker_cooldown: int = 25
     crash_loop_k: int = 3
     crash_loop_window: int = 60
     #: Client patience: a request still waiting (queued, not in flight)
     #: this many ticks after arrival times out as failed.
     deadline_ticks: int = 60
-    #: Noisy-neighbour EPC thrash probability per request (0 = off).
-    epc_spike_rate: float = 0.0
     #: Poison storm: ``(start_tick, end_tick, rate)`` — within the window
     #: arrivals are fuzzed at ``rate`` instead of ``fault_rate``.
     storm: Tuple[int, int, float] = ()
@@ -81,8 +76,6 @@ class CampaignConfig:
     recovery: str = "none"
     #: Ticks between sealed checkpoints (snapshot-taking modes).
     checkpoint_interval: int = 25
-    #: Diff recovered state against the shadow oracle at campaign end.
-    recovery_audit: bool = True
     #: Extra ``workload()`` kwargs as a tuple of pairs, e.g.
     #: ``(("set_every", 2),)`` for write-heavy memcached traffic.
     workload_kwargs: Tuple[Tuple[str, object], ...] = ()
@@ -98,15 +91,6 @@ class CampaignConfig:
     #: arrivals per tick inside the window — the trigger for metastable
     #: collapse (overload campaigns).
     burst: Tuple[int, int, int] = ()
-    #: Traffic priority mix ``((class, weight), ...)``; empty uses
-    #: :data:`repro.overload.DEFAULT_MIX`.  Ignored when overload="off".
-    priority_mix: Tuple[Tuple[str, int], ...] = ()
-    #: Client-side retry ceiling per request (overload modes).
-    client_retries: int = 3
-    #: Retry-budget refill per success and bucket capacity (protected
-    #: mode; the naive client retries unconditionally).
-    retry_refill: float = 0.1
-    retry_burst: float = 4.0
 
 
 @dataclass
@@ -145,10 +129,11 @@ class CampaignResult:
                 "app": cfg.app, "scheme": cfg.scheme, "policy": cfg.policy,
                 "workers": cfg.workers, "fault_rate": cfg.fault_rate,
                 "seed": cfg.seed, "size": cfg.size,
-                "tick_cycles": cfg.tick_cycles,
+                "tick_cycles": TICK_CYCLES,
                 "watchdog_budget": cfg.watchdog_budget,
                 "rewarm_scale": cfg.rewarm_scale, "balance": cfg.balance,
-                "hedge_stranded": cfg.hedge_stranded,
+                # Crashes always hedge; the key stays for report stability.
+                "hedge_stranded": True,
             },
             "ticks": self.ticks,
             "slo": self.slo,
@@ -247,15 +232,13 @@ def run_campaign(config: CampaignConfig, telemetry=None,
         EnclaveWorker(wid, module, config.scheme, policy=config.policy,
                       config=enclave_config,
                       watchdog_budget=config.watchdog_budget,
-                      epc_spike_rate=config.epc_spike_rate,
-                      faults_seed=derive(config.seed, "fleet-epc"),
                       observer=observer)
         for wid in range(config.workers)]
     supervisor = Supervisor(
         [w.wid for w in workers],
         cold_start=enclave_config.cold_start,
         rewarm_scale=config.rewarm_scale,
-        tick_cycles=config.tick_cycles,
+        tick_cycles=TICK_CYCLES,
         crash_loop_k=config.crash_loop_k,
         crash_loop_window=config.crash_loop_window,
         observer=observer)
@@ -264,24 +247,15 @@ def run_campaign(config: CampaignConfig, telemetry=None,
         from repro.overload import PRIORITIES, build_controls
         controls = build_controls(
             config.overload, config.scheme, config.deadline_ticks,
-            priority_mix=config.priority_mix,
-            client_retries=config.client_retries,
-            retry_refill=config.retry_refill,
-            retry_burst=config.retry_burst,
             observer=observer)
     balancer = Balancer(workers, supervisor, policy=config.balance,
-                        queue_cap=config.queue_cap,
-                        max_attempts=config.max_attempts,
-                        hedge_stranded=config.hedge_stranded,
-                        breaker_threshold=config.breaker_threshold,
-                        breaker_cooldown=config.breaker_cooldown,
                         observer=observer,
                         admission=controls.admission
                         if controls is not None else None,
-                        tick_cycles=config.tick_cycles
+                        tick_cycles=TICK_CYCLES
                         if controls is not None else None)
     registry = telemetry.registry if telemetry is not None else None
-    slo = SLOTracker(config.tick_cycles, registry=registry,
+    slo = SLOTracker(TICK_CYCLES, registry=registry,
                      anomalies=forensics.monitor
                      if forensics is not None else None,
                      deadline_ticks=config.deadline_ticks
@@ -294,18 +268,17 @@ def run_campaign(config: CampaignConfig, telemetry=None,
 
         def _spare_worker(wid: int) -> EnclaveWorker:
             # Replicas and audit oracles: same build/scheme/policy as the
-            # serving workers, but no observer or noise hookup — they are
-            # standbys and measurement shadows, not chaos targets.
+            # serving workers, but no observer — they are standbys and
+            # measurement shadows, not chaos targets.
             return EnclaveWorker(wid, module, config.scheme,
                                  policy=config.policy, config=enclave_config,
                                  watchdog_budget=config.watchdog_budget)
 
         manager = RecoveryManager(
             config.recovery, mod, config.app,
-            tick_cycles=config.tick_cycles,
+            tick_cycles=TICK_CYCLES,
             checkpoint_interval=config.checkpoint_interval,
-            worker_factory=_spare_worker, audit=config.recovery_audit,
-            observer=observer)
+            worker_factory=_spare_worker, observer=observer)
         for worker in workers:
             manager.attach(worker)
     result = CampaignResult(config)
@@ -334,7 +307,7 @@ def run_campaign(config: CampaignConfig, telemetry=None,
             if obs is not None:
                 # Same rid, same trace root: the resubmission is a new
                 # branch of one causal request, not a fresh trace.
-                obs.on_client_retry(retry, now)
+                obs.on_submit(retry, now)
             req = balancer.offer(retry, now)
 
     while now < config.max_ticks:
@@ -397,7 +370,7 @@ def run_campaign(config: CampaignConfig, telemetry=None,
         for worker in workers:
             if not supervisor.running(worker.wid):
                 continue
-            report = worker.run_tick(config.tick_cycles)
+            report = worker.run_tick(TICK_CYCLES)
             for rid, status in report.outcomes:
                 req = balancer.on_outcome(worker.wid, rid, status, now)
                 if req is None:

@@ -27,7 +27,6 @@ from repro.errors import (
     TrapError,
     WatchdogTimeout,
 )
-from repro.faults import FaultInjector, derive
 from repro.harness.runner import build_server_vm
 from repro.telemetry.observer import Observer
 from repro.vm import machine as vm_mod
@@ -62,27 +61,22 @@ class EnclaveWorker:
 
     def __init__(self, wid: int, module, scheme_name: str,
                  policy: Optional[str] = None, config=None,
-                 scheme_kwargs=None, watchdog_budget: int = 200_000,
-                 epc_spike_rate: float = 0.0,
-                 faults_seed: Optional[int] = None, observer=None,
-                 mutates=None):
+                 watchdog_budget: int = 200_000, observer=None):
         self.wid = wid
         self.module = module              # compiled, uninstrumented base
         self.scheme_name = scheme_name
         self.policy = policy
         self.config = config
-        self.scheme_kwargs = scheme_kwargs
         self.watchdog_budget = watchdog_budget
-        self.epc_spike_rate = epc_spike_rate
-        self.faults_seed = faults_seed
         #: The campaign's :class:`~repro.telemetry.observer.Observer`:
         #: dispatch records, per-attempt attribution samples, crash
         #: postmortems; its telemetry and forensics sinks observe every
         #: incarnation's VM.
         self.observer = observer
         #: Predicate classifying request payloads as state-mutating; only
-        #: set when the campaign runs with stateful recovery enabled.
-        self.mutates = mutates
+        #: set (by ``RecoveryManager.attach``) when the campaign runs with
+        #: stateful recovery enabled.
+        self.mutates = None
         #: Recovery manager back-reference (set by ``RecoveryManager.attach``)
         #: so ``submit`` can write-ahead-log mutating requests.
         self.recovery = None
@@ -104,7 +98,7 @@ class EnclaveWorker:
         forensics = observer.forensics if observer is not None else None
         vm, scheme = build_server_vm(
             self.module, self.scheme_name, config=self.config,
-            scheme_kwargs=self.scheme_kwargs, policy=self.policy,
+            policy=self.policy,
             telemetry=observer.telemetry if observer is not None else None,
             forensics=forensics)
         vm.net_blocking = True
@@ -118,14 +112,6 @@ class EnclaveWorker:
             vm.external_rids = True
             vm.net.observer = Observer.of(forensics=forensics)
             vm.net.clock = (lambda v=vm: v.counters.instructions)
-        if self.epc_spike_rate > 0.0 and self.faults_seed is not None:
-            # Noisy-neighbour analog: a co-tenant occasionally thrashes
-            # the shared EPC; seeded per incarnation so restarts do not
-            # replay the same spike schedule.
-            vm.faults = FaultInjector(
-                derive(self.faults_seed,
-                       f"epc:w{self.wid}:i{self.incarnations}"),
-                epc_spike_rate=self.epc_spike_rate)
         self.conn = vm.net.connect()
         main_fn = vm.program.functions["main"]
         vm.new_thread(main_fn, (SERVER_ITERATIONS, 1))

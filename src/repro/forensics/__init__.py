@@ -57,20 +57,12 @@ class Forensics:
     :class:`~repro.telemetry.observer.Observer` treats it as absent.
     """
 
-    def __init__(self, enabled: bool = True, capacity: int = 4096,
-                 max_postmortems: int = MAX_POSTMORTEMS,
-                 last_n: int = POSTMORTEM_LAST_N,
-                 epc_faults_per_tick: int = 200,
-                 latency_factor: float = 4.0,
-                 crash_loop_window: int = 60):
+    def __init__(self, enabled: bool = True,
+                 max_postmortems: int = MAX_POSTMORTEMS):
         self.enabled = enabled
-        self.recorder = FlightRecorder(capacity)
-        self.monitor = AnomalyMonitor(
-            self.recorder, epc_faults_per_tick=epc_faults_per_tick,
-            latency_factor=latency_factor,
-            crash_loop_window=crash_loop_window)
+        self.recorder = FlightRecorder()
+        self.monitor = AnomalyMonitor(self.recorder)
         self.max_postmortems = max_postmortems
-        self.last_n = last_n
         self.postmortems: List[Dict[str, object]] = []
         self.postmortems_dropped = 0
 
@@ -105,7 +97,7 @@ class Forensics:
             wid = getattr(vm, "worker_id", None)
         report = capture_postmortem(
             vm, err, reason=reason, rid=rid, payload=payload, wid=wid,
-            recorder=self.recorder, last_n=self.last_n, thread=thread)
+            recorder=self.recorder, last_n=POSTMORTEM_LAST_N, thread=thread)
         self.postmortems.append(report)
         self.recorder.record("postmortem", ts=vm.counters.instructions,
                              cat="forensics", rid=rid, wid=wid,

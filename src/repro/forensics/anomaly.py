@@ -170,15 +170,11 @@ class CrashLoopPrecursorDetector:
 class AnomalyMonitor:
     """Runs every detector; turns hits into alert records."""
 
-    def __init__(self, recorder: Optional[FlightRecorder] = None,
-                 epc_faults_per_tick: int = 200,
-                 latency_factor: float = 4.0,
-                 crash_loop_window: int = 60):
+    def __init__(self, recorder: Optional[FlightRecorder] = None):
         self.recorder = recorder
-        self.epc = EPCThrashDetector(faults_per_tick=epc_faults_per_tick)
-        self.latency = LatencyRegressionDetector(factor=latency_factor)
-        self.crash_loop = CrashLoopPrecursorDetector(
-            window=crash_loop_window)
+        self.epc = EPCThrashDetector()
+        self.latency = LatencyRegressionDetector()
+        self.crash_loop = CrashLoopPrecursorDetector()
         self.queue = QueueDepthDetector()
         self.alerts: List[Dict[str, object]] = []
 

@@ -123,17 +123,17 @@ def chaos_availability(apps: Sequence[str] = ("memcached", "nginx", "apache"),
                        policies: Sequence[str] = ("abort", "drop-request",
                                                   "boundless"),
                        fault_rates: Sequence[float] = (0.0, 0.2),
-                       size: str = "XS", seed: int = 1234,
-                       telemetry=None) -> Tuple[Dict, str]:
+                       size: str = "XS", seed: int = 1234
+                       ) -> Tuple[Dict, str]:
     """Sweep fault rates x policies x schemes over the server apps.
 
     Returns ``(data, text)`` like the other experiment drivers:
     ``data[app][(scheme, policy, rate)]`` holds the availability record,
-    ``text`` is the rendered report.
+    ``text`` is the rendered report.  Availability gauges go to the
+    process-wide default telemetry (CLI ``--metrics-out``), if any.
     """
     from repro import telemetry as telemetry_mod
-    telemetry = telemetry if telemetry is not None \
-        else telemetry_mod.get_default()
+    telemetry = telemetry_mod.get_default()
     observer = telemetry_mod.Observer.of(telemetry)
     chunks: List[str] = []
     data: Dict[str, Dict] = {}

@@ -15,7 +15,6 @@ from repro.ir.instructions import (
     Instr,
     BR,
     JMP,
-    OP_NAMES,
 )
 from repro.memory.layout import align_up
 
@@ -244,7 +243,3 @@ class Module:
     def __repr__(self) -> str:
         return (f"Module({self.name!r}, {len(self.functions)} fns, "
                 f"{len(self.globals)} globals)")
-
-
-def opcode_name(op: int) -> str:
-    return OP_NAMES.get(op, f"op{op}")

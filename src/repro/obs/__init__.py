@@ -51,7 +51,6 @@ class Observability:
         self.tracer = FleetTracer(seed=seed, max_traces=max_traces)
         self.attribution = AttributionLedger()
         self.burn = BurnRateEngine(rules=rules)
-        self._bound = False
 
     # -- campaign lifecycle ---------------------------------------------
     def begin_campaign(self, config, recorder=None) -> None:
@@ -59,16 +58,11 @@ class Observability:
         fire/clear events into the campaign's ``Forensics`` recorder."""
         self.tracer.seed = config.seed
         self.burn.recorder = recorder
-        self._bound = True
 
     # -- request lifecycle hooks (campaign/balancer/worker call these) --
     def on_submit(self, request, now: int) -> None:
-        """Client submit: mint the trace context and stamp the request."""
-        request.trace = self.tracer.submit(
-            request.rid, now, priority=request.priority)
-
-    def on_client_retry(self, request, now: int) -> None:
-        """The client swarm resubmitted ``rid``: same root, new branch."""
+        """Client submit: mint the trace context and stamp the request.
+        A client retry of the same rid extends that trace instead."""
         request.trace = self.tracer.submit(
             request.rid, now, priority=request.priority)
 

@@ -60,7 +60,7 @@ def observe_fleet(app: str = "memcached", workers: int = 4,
     includes the exposition text and the exemplar campaign's Chrome
     trace document so the CLI can export both as artifacts.
     """
-    from repro.fleet.campaign import CampaignConfig, run_campaign
+    from repro.fleet.campaign import TICK_CYCLES, CampaignConfig, run_campaign
     from repro.harness import report
 
     data: Dict[str, object] = {
@@ -200,5 +200,5 @@ def observe_fleet(app: str = "memcached", workers: int = 4,
 
     data["exposition"] = exposition
     data["chrome_trace"] = exemplar_obs.chrome_trace(
-        tick_cycles=CampaignConfig().tick_cycles)
+        tick_cycles=TICK_CYCLES)
     return data, "\n\n".join(chunks)

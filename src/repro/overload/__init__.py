@@ -103,8 +103,6 @@ class OverloadControls:
 
 def build_controls(mode: str, scheme: str, deadline_ticks: int,
                    priority_mix: Tuple[Tuple[str, int], ...] = (),
-                   client_retries: int = 3, retry_refill: float = 0.1,
-                   retry_burst: float = 4.0,
                    observer=None) -> Optional[OverloadControls]:
     """Construct the overload layer for one campaign (None for ``off``)."""
     if mode == OFF:
@@ -117,9 +115,7 @@ def build_controls(mode: str, scheme: str, deadline_ticks: int,
     admission = AdmissionController(
         scheme, deadline_ticks, enabled=protected, brownout=brownout,
         observer=observer)
-    swarm = ClientSwarm(budgeted=protected, max_retries=client_retries,
-                        refill_per_success=retry_refill, burst=retry_burst)
-    return OverloadControls(mode, admission, swarm,
+    return OverloadControls(mode, admission, ClientSwarm(budgeted=protected),
                             priority_pattern(priority_mix))
 
 

@@ -76,14 +76,12 @@ class AdmissionController:
     """
 
     def __init__(self, scheme: str, deadline_ticks: int,
-                 enabled: bool = True, brownout=None,
-                 estimator: Optional[ServiceEstimator] = None,
-                 observer=None):
+                 enabled: bool = True, brownout=None, observer=None):
         self.scheme = scheme
         self.deadline_ticks = deadline_ticks
         self.enabled = enabled
         self.brownout = brownout
-        self.estimator = estimator or ServiceEstimator()
+        self.estimator = ServiceEstimator()
         self.observer = observer
         self.admitted = 0
         self.rejected_by_reason: Dict[str, int] = {

@@ -86,9 +86,7 @@ class RecoveryManager:
     """Owns shard durability; glues sealing, WAL, and replicas to the fleet."""
 
     def __init__(self, mode: str, app, app_name: str, tick_cycles: int,
-                 checkpoint_interval: int, worker_factory,
-                 sealing: Optional[SealingService] = None,
-                 audit: bool = True, observer=None):
+                 checkpoint_interval: int, worker_factory, observer=None):
         if mode not in MODES:
             raise ValueError(f"unknown recovery mode {mode!r}; "
                              f"expected one of {MODES}")
@@ -98,8 +96,7 @@ class RecoveryManager:
         self.tick_cycles = tick_cycles
         self.checkpoint_interval = checkpoint_interval
         self.worker_factory = worker_factory
-        self.sealing = sealing or SealingService()
-        self.audit_enabled = audit
+        self.sealing = SealingService()
         #: Optional :class:`~repro.telemetry.observer.Observer` for the
         #: ``recovery_<kind>`` events.
         self.observer = observer
@@ -343,25 +340,23 @@ class RecoveryManager:
     def finalize(self, workers: Dict[int, object],
                  supervisor, now: int) -> Dict[str, object]:
         """Run the end-of-campaign consistency audit and summarise."""
-        if self.audit_enabled:
-            for wid in sorted(self.shards):
-                shard = self.shards[wid]
-                worker = workers.get(wid)
-                # A shard that ended the campaign crashed, mid-restart, or
-                # dead has no live state; audit what its durable artifacts
-                # would recover to instead — durability, not uptime, is
-                # what RPO promises.
-                live = (worker is not None and worker.last_error is None
-                        and supervisor.status(wid) != "dead")
-                materialized = False
-                if not live:
-                    worker = self._materialize(wid)
-                    materialized = worker is not None
-                shard.audit_result = audit_mod.audit_shard(
-                    wid, worker, self.app, shard.history,
-                    self.worker_factory)
-                if materialized:
-                    shard.audit_result["materialized"] = True
+        for wid in sorted(self.shards):
+            shard = self.shards[wid]
+            worker = workers.get(wid)
+            # A shard that ended the campaign crashed, mid-restart, or dead
+            # has no live state; audit what its durable artifacts would
+            # recover to instead — durability, not uptime, is what RPO
+            # promises.
+            live = (worker is not None and worker.last_error is None
+                    and supervisor.status(wid) != "dead")
+            materialized = False
+            if not live:
+                worker = self._materialize(wid)
+                materialized = worker is not None
+            shard.audit_result = audit_mod.audit_shard(
+                wid, worker, self.app, shard.history, self.worker_factory)
+            if materialized:
+                shard.audit_result["materialized"] = True
         return self.summary()
 
     def summary(self) -> Dict[str, object]:
@@ -400,12 +395,10 @@ class RecoveryManager:
                 "links": {wid: link.stats()
                           for wid, link in sorted(self.links.items())},
             }
-        if self.audit_enabled:
-            per_shard = {wid: shards[wid].audit_result
-                         for wid in sorted(shards)}
-            out["audit"] = {
-                "clean": all(r is not None and r.get("clean")
-                             for r in per_shard.values()),
-                "shards": per_shard,
-            }
+        per_shard = {wid: shards[wid].audit_result for wid in sorted(shards)}
+        out["audit"] = {
+            "clean": all(r is not None and r.get("clean")
+                         for r in per_shard.values()),
+            "shards": per_shard,
+        }
         return out

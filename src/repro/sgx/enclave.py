@@ -80,9 +80,6 @@ class EnclaveConfig:
         """The same machine without EPC/MEE constraints (Fig. 12)."""
         return replace(self, enclave=False)
 
-    def with_epc(self, epc_bytes: int) -> "EnclaveConfig":
-        return replace(self, epc_bytes=epc_bytes)
-
 
 class Enclave:
     """One shielded execution environment."""
@@ -97,31 +94,30 @@ class Enclave:
         self.epc = EPC(self.config.epc_bytes) if self.config.enclave else None
         self.counters = PerfCounters()
         #: The run's :class:`~repro.telemetry.observer.Observer`, set by
-        #: :meth:`attach`; None keeps the plain trace hook.
+        #: :meth:`attach`; None emits no EPC-fault events.
         self.observer = None
         # The unaddressable last page (paper §4.4) protects hoisted checks.
         self.space.map(GUARD_PAGE_BASE, PAGE_SIZE, PERM_GUARD, "guard")
-        self.space.tracer = self._l1_hit_tracer(self._trace)
+        self.space.tracer = self._l1_hit_tracer()
 
     def attach(self, observer) -> None:
-        """Install ``observer``'s trace hook (EPC fault/flush events to
-        every attached sink; counters unchanged)."""
+        """Route EPC fault/flush events to ``observer``'s sinks; the
+        installed trace hook and the counters are unchanged."""
         self.observer = observer
-        self.space.tracer = self._l1_hit_tracer(self._trace_observed)
         if self.epc is not None:
             self.epc.observer = observer
 
     # ------------------------------------------------------------------
-    def _l1_hit_tracer(self, slow):
+    def _l1_hit_tracer(self):
         """The installed trace hook: charges an L1 hit within one line
-        itself, exactly as ``slow`` (:meth:`_trace` or
-        :meth:`_trace_observed`) would, and passes every other access to
-        ``slow``.  The hit test only reads state, so ``slow`` sees the
-        caches untouched.  ``Cache.flush`` clears ``_data`` in place,
-        which keeps the bound dict valid."""
+        itself, exactly as :meth:`_trace` would, and passes every other
+        access to :meth:`_trace`.  The hit test only reads state, so
+        ``_trace`` sees the caches untouched.  ``Cache.flush`` clears
+        ``_data`` in place, which keeps the bound dict valid."""
         counters = self.counters
         l1_data = self.caches.l1._data
         l1_sets = self.caches.l1.sets
+        slow = self._trace
 
         def trace(address: int, size: int, is_write: bool) -> None:
             if (address & LINE_MASK) + size <= LINE_SIZE:
@@ -140,6 +136,8 @@ class Enclave:
         return trace
 
     def _trace(self, address: int, size: int, is_write: bool) -> None:
+        """Charge one access through the caches and the EPC.  An attached
+        observer sees each EPC fault; it never changes the counters."""
         counters = self.counters
         if is_write:
             counters.stores += 1
@@ -150,24 +148,10 @@ class Enclave:
             counters.mee_decrypts += 1
             if self.epc.touch(address >> PAGE_SHIFT):
                 counters.epc_faults += 1
-
-    def _trace_observed(self, address: int, size: int,
-                        is_write: bool) -> None:
-        """The same accounting as :meth:`_trace`, plus the EPC-fault
-        event.  Charges identical counters — observers only observe."""
-        counters = self.counters
-        if is_write:
-            counters.stores += 1
-        else:
-            counters.loads += 1
-        depth = self.caches.access(address, size, counters)
-        if depth == 2 and self.epc is not None:
-            counters.mee_decrypts += 1
-            if self.epc.touch(address >> PAGE_SHIFT):
-                counters.epc_faults += 1
-                self.observer.epc_fault(address >> PAGE_SHIFT,
-                                        counters.instructions,
-                                        self.epc.resident_pages)
+                if self.observer is not None:
+                    self.observer.epc_fault(address >> PAGE_SHIFT,
+                                            counters.instructions,
+                                            self.epc.resident_pages)
 
     # ------------------------------------------------------------------
     def cycles(self) -> int:

@@ -137,19 +137,9 @@ class SchemeRuntime:
         """Register bounds to attach to a fresh allocation (MPX only)."""
         return None
 
-    def stack_object(self, vm: "VM", address: int, size: int) -> None:
-        """Notify the runtime of a stack object coming to life (ASan
-        poison bookkeeping happens through pass-inserted natives instead)."""
-
     # -- pointer handling for libc wrappers --------------------------------
     def strip(self, ptr: int) -> int:
         """Plain 32-bit address of ``ptr`` (drops any tag)."""
-        return ptr & ADDRESS_MASK
-
-    def check_range(self, vm: "VM", ptr: int, size: int,
-                    is_write: bool) -> int:
-        """Validate a [ptr, ptr+size) access from a libc wrapper; returns
-        the plain address to use.  Raises or redirects on violation."""
         return ptr & ADDRESS_MASK
 
     def libc_range(self, vm: "VM", ptr: int, size: int, is_write: bool,

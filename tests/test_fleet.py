@@ -297,14 +297,19 @@ class TestBalancer:
         assert [r.status for r in terminal] == ["failed"]
         assert terminal[0].detail == "crash; retries exhausted"
 
-    def test_hedged_requeue_preserves_order(self):
-        workers, sup, bal = self._fleet(n=1, queue_cap=3,
-                                        hedge_stranded=True)
+    @pytest.mark.parametrize("crashes, status", [
+        (1, sup_mod.RESTARTING),                # crashed once: restarts
+        (3, sup_mod.DEAD),                      # crash loop: marked dead
+    ], ids=["crashed-once", "dead-after-crash-loop"])
+    def test_hedged_requeue_preserves_order(self, crashes, status):
+        workers, sup, bal = self._fleet(n=1, queue_cap=3)
         for rid in range(3):
             bal.offer(Request(rid, b"x", arrival=0))
         bal.dispatch(0)                         # rid 0 in flight, 1-2 queued
-        sup.on_crash(workers[0], 1, "X")
-        bal.on_worker_crash(0, 0, 1)
+        for tick in range(1, crashes + 1):
+            sup.on_crash(workers[0], tick, "X")
+        assert sup.status(0) == status
+        assert bal.on_worker_crash(0, 0, crashes) == []
         # Queued requests keep their relative order at the front; the
         # retried in-flight request (which consumed an attempt) follows.
         assert [r.rid for r in bal.pending] == [1, 2, 0]

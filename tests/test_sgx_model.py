@@ -203,16 +203,20 @@ class TestL1HitTracer:
     CONFIG = EnclaveConfig(l1_bytes=16 * LINE_SIZE, llc_bytes=64 * LINE_SIZE,
                            epc_bytes=4 * 4096)
 
-    @pytest.mark.parametrize("observed", [False, True])
+    @pytest.mark.parametrize("observed", [False, True, "hook-taken-first"])
     @pytest.mark.parametrize("seed", range(4))
     def test_random_streams_match_reference(self, seed, observed):
         rng = random.Random(seed)
         enclave = Enclave(self.CONFIG)
         observer = _CountingObserver()
+        # "hook-taken-first": a VM holds the trace hook from before
+        # attach(); that hook must still report EPC faults.
+        trace = enclave.space.tracer
         if observed:
             enclave.attach(observer)
+        if observed is True:
+            trace = enclave.space.tracer
         reference = _ReferenceMachine(self.CONFIG)
-        trace = enclave.space.tracer
         sets = enclave.caches.l1.sets
         # Lines that share an L1 set (and a few LLC sets) so that
         # evictions and re-appends happen often, spread over 8 pages.
