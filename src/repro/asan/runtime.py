@@ -55,9 +55,6 @@ class ASanScheme(SchemeRuntime):
 
     name = "asan"
     global_min_align = GRANULE
-    # Shadow-byte checks are plain IR loads/compares; the generic fusion
-    # classes apply unchanged and observe identical PerfCounters.
-    fastpath_fusion = ("cmp_br", "gep_load", "gep_store")
 
     def __init__(self, optimize_safe: bool = True,
                  quarantine_bytes: int = QUARANTINE_CAP,

@@ -48,10 +48,6 @@ class SGXBoundsScheme(SchemeRuntime):
     """
 
     name = "sgxbounds"
-    # Figure-4d checks are emitted as plain IR (CMP+BR into the violation
-    # stub), so the generic fusion classes cover them; PerfCounters are
-    # identical either way (tests/test_vm_differential.py).
-    fastpath_fusion = ("cmp_br", "gep_load", "gep_store")
 
     def __init__(self, boundless: bool = False, optimize_safe: bool = True,
                  optimize_hoist: bool = True, stack_hooks: bool = False,

@@ -136,28 +136,21 @@ def profile_experiment(target: str, size: str = "XS",
                 f"Boundless leakage: {workload.name} (size {size}) — "
                 f"oblivious reads past object bounds",
                 ["scheme", "oblivious_reads", "leaked_bytes"], leak_rows))
-        # Predecoded-interpreter fusion hits, only when the fast path
-        # actually ran (the reference loop under REPRO_VM_FASTPATH=0
-        # publishes no vm.fastpath.* counters, so the table vanishes
-        # rather than printing a row of zeros).
-        fusion_rows = []
+        # Compiled-block executions, only when the block tier ran (the
+        # per-instruction tier under REPRO_VM_FASTPATH=0 publishes no
+        # vm.fastpath.* counters, so the table vanishes rather than
+        # printing a row of zeros).
+        block_rows = []
         for scheme in schemes:
             registry = runs[scheme]["registry"]
-            hits = {key[len("vm.fastpath."):]: series.get("value", 0)
-                    for key, series in registry.items()
-                    if key.startswith("vm.fastpath.")}
-            if sum(hits.values()):
-                fusion_rows.append([
-                    scheme, sum(hits.values()),
-                    hits.get("gep_load", 0), hits.get("gep_store", 0),
-                    hits.get("cmp_br", 0), hits.get("bnd_access", 0),
-                    hits.get("chain", 0)])
-        if fusion_rows:
+            blocks = registry.get("vm.fastpath.block", {}).get("value", 0)
+            if blocks:
+                block_rows.append([scheme, blocks])
+        if block_rows:
             chunks.append(report.series_table(
-                f"Fast-path fusion: {workload.name} (size {size}) — "
-                f"superinstruction dispatches",
-                ["scheme", "total", "gep_load", "gep_store", "cmp_br",
-                 "bnd_access", "chain"], fusion_rows))
+                f"Fast-path blocks: {workload.name} (size {size}) — "
+                f"compiled-block executions",
+                ["scheme", "blocks"], block_rows))
     # One exemplar flame table: the baseline profile of the last workload.
     flame = flame_rows(profiles[baseline], cost, enclave, limit=flame_limit)
     chunks.append(report.series_table(

@@ -91,8 +91,8 @@ class Function:
         self.frame_size = 0
         self.block_index: Dict[str, int] = {}
         # Predecode metadata: indices that start a basic block, i.e. the
-        # only code positions a branch may land on.  The fast path's
-        # superinstruction fuser refuses to swallow these as pair tails.
+        # only code positions a branch may land on.  The interpreter's
+        # block tier starts a compiled run at each of them.
         self.block_starts: frozenset = frozenset()
         self.finalized = False
 

@@ -46,11 +46,6 @@ class MPXScheme(SchemeRuntime):
 
     name = "mpx"
     uses_register_bounds = True
-    # MPX emits a BNDCL+BNDCU pair before every unsafe access; the fast
-    # path may collapse the triple into one superinstruction.  The fused
-    # handler advances PerfCounters check by check, so a violation raised
-    # mid-triple carries the exact reference timestamp.
-    fastpath_fusion = ("cmp_br", "gep_load", "gep_store", "bnd_access")
 
     def __init__(self, optimize_safe: bool = True, bt_cover_shift: int = 18,
                  policy: str = violation_policy.ABORT):

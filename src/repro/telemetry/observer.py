@@ -135,9 +135,9 @@ class Observer:
             self.gauge("epc.pages_touched", len(enclave.epc.pages_touched))
 
     def fastpath_hits(self, stats: Dict[str, int]) -> None:
-        """Publish superinstruction hits as ``vm.fastpath.<kind>``; zero
-        kinds are skipped, so a reference-interpreter run publishes no
-        fastpath entries and counter parity between the two holds."""
+        """Publish compiled-block executions as ``vm.fastpath.block``;
+        zeros are skipped, so a per-instruction-tier run publishes no
+        fastpath entries and counter parity between the tiers holds."""
         for kind, hits in stats.items():
             if hits:
                 self.count(f"vm.fastpath.{kind}", hits)

@@ -1,52 +1,67 @@
-"""Predecoded handler dispatch — the interpreter's fast path.
+"""One opcode table, compiled into the interpreter's two tiers.
 
-:func:`compile_function` turns one finalized IR function into a flat list
-of *bound handler closures*: operands are resolved once per instruction
-(register index vs constant-pool value), per-op behaviour comes from a
-registry of closure makers instead of the reference loop's 300-line
-if/elif ladder, and the hottest instruction pairs observed in profiles
-are fused into superinstructions — GEP+LOAD, GEP+STORE, CMP+BR and MPX's
-BNDCL+BNDCU+access triple.
+Every IR opcode is defined exactly once, in :data:`_TABLE`: a small
+emitter function that writes the opcode's Python source through the
+:class:`_Emitter` interface, with operands, immediates and runtime
+objects filled in at predecode.  The table serves two tiers:
 
-Identity contract (enforced by ``tests/test_vm_differential.py``): a
-fast-path run is indistinguishable from a reference run — byte-identical
-stdout, identical :class:`~repro.sgx.counters.PerfCounters` at every
-observable point (native calls, traced memory accesses, violations),
-identical violation/forensics records, identical thread interleavings.
-The rules that make this hold:
+* **Per-instruction tier.**  Each instruction gets one handler closure.
+  The source for each (opcode, operand shape) is generated and compiled
+  once per process into a closure factory (:data:`_PLAIN`); predecoding
+  an instruction only computes its shape and calls the factory, so cold
+  code costs one closure creation per instruction.
+* **Block tier.**  A straight-line run of instructions becomes one
+  generated function with the run's registers in locals.  A run starts
+  at a basic-block start or at the instruction after a CALL (where a
+  returning callee resumes) and ends at a BR/JMP (included), before a
+  CALL, RET or TRAP, or before the next run start.  A run is compiled
+  only after its head has been dispatched :data:`HOT` times; its code is
+  shared across VMs through a content-keyed cache of
+  :data:`BLOCK_CACHE_SIZE` entries, so a VM that loads the same code
+  again (a fleet reboot) binds the cached code instead of regenerating
+  it.  ``REPRO_VM_FASTPATH=0`` (``VM(fastpath=False)``) runs the
+  per-instruction tier only.
 
-* every handler advances ``counters.instructions`` exactly as the
-  reference loop would *before* any observable side effect — a traced
-  memory access, a native call, a raised violation — so timestamps and
-  EPC/cache accounting line up to the instruction;
-* the dispatch loop charges a fused handler its full quantum cost and
-  never starts a superinstruction that does not fit in the remaining
-  quantum, so cooperative thread switches land on the same instruction
-  boundaries as the reference scheduler;
-* every code index keeps a valid standalone handler — branches, request
-  checkpoints and ``BLOCK_RETRY`` resumes may land *inside* a fused
-  region, in which case the tail instructions simply execute unfused.
+Identity contract (enforced by ``tests/test_vm_differential.py``, which
+runs both tiers): a block-tier run is indistinguishable from a
+per-instruction run -- byte-identical stdout, identical
+:class:`~repro.sgx.counters.PerfCounters` at every observable point,
+identical violation and forensics records, identical thread
+interleavings.  The rules that make this hold:
 
-Handler calling convention: ``handler(frame, regs, thread) -> next_pc``,
-where a negative result means "yield to the outer loop" (call, return,
-block, thread exit) with ``frame.pc`` already stored.  Fused handlers
-occupy the *first* index of their region in ``FastCode.handlers`` with
-their length recorded in ``FastCode.costs``; ``FastCode.plain`` holds the
-unfused handler for every index.
+* a per-instruction handler charges ``counters.instructions`` before any
+  side effect; a block defers the charge and flushes it before every
+  memory access, every op that may raise and every call out of the
+  generated code (scheme checks and bounds tables), so the cache/EPC
+  model, EPC-fault events and crash counters see the exact count;
+* the dispatch loop runs a block only when the remaining quantum covers
+  its whole length (``costs[pc] <= quantum``) and otherwise finishes the
+  slice per instruction, so thread switches land on the same
+  instruction boundaries in both tiers;
+* every code index keeps its per-instruction handler in
+  ``FastCode.plain``; CALLs never sit inside a block, so ``BLOCK_RETRY``
+  and request checkpoints re-execute a call by its index;
+* a block writes its registers back only when it completes.  When an
+  instruction inside it raises, the frame's registers are never read
+  again: the run ends, or drop-request recovery restores the registers
+  of the request checkpoint.
+
+Handler calling convention (both tiers): ``handler(frame, regs, thread)
+-> next_pc``, where a negative result means "yield to the outer loop"
+(call, return, block, thread exit) with ``frame.pc`` already stored.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Callable, Dict, List, Optional
+from collections import OrderedDict
+from types import FunctionType
+from typing import Callable, Dict, List
 
 from repro.errors import BoundsViolation, SegmentationFault, TrapError, VMError
 from repro.ir import instructions as ops
-from repro.ir.instructions import CMP_OPS
 from repro.memory.layout import ADDRESS_MASK, PAGE_MASK, PAGE_SHIFT, PAGE_SIZE
 from repro.vm.machine import (
-    _BIN,
-    _s64,
     BLOCK_RETRY,
     HI32,
     M32,
@@ -59,37 +74,43 @@ from repro.vm.machine import (
 _UINT = {1: struct.Struct("<B"), 2: struct.Struct("<H"),
          4: struct.Struct("<I"), 8: struct.Struct("<Q")}
 _F64 = struct.Struct("<d")
+_SIGN64 = 1 << 63
 
-#: Longest superinstruction, in IR instructions (quantum units).  The
-#: dispatch loop falls back to unfused execution once the remaining
-#: quantum drops below this, so fused handlers never overdraw a slice.
-FUSE_MAX = 3
+#: Dispatches of a run's head before the run is compiled into a block.
+HOT = 32
+
+#: Generated block factories kept across VMs (least recently used first
+#: out).  The key is the run's instruction fields, not its source text.
+BLOCK_CACHE_SIZE = 512
 
 Handler = Callable[[object, list, object], int]
 
 
 class FastCode:
-    """Predecoded form of one function, bound to one VM's runtime."""
+    """Predecoded form of one function, bound to one VM's runtime.
 
-    __slots__ = ("handlers", "costs", "plain", "code", "fusion_sites")
+    ``handlers[pc]`` is what the dispatch loop runs at ``pc`` and
+    ``costs[pc]`` its length in IR instructions (quantum units): a block
+    at a compiled run head, the per-instruction handler (cost 1)
+    everywhere else.  ``plain[pc]`` is always the per-instruction
+    handler."""
+
+    __slots__ = ("handlers", "costs", "plain", "code")
 
     def __init__(self, handlers: List[Handler], costs: List[int],
-                 plain: List[Handler], code: list,
-                 fusion_sites: Dict[str, int]):
+                 plain: List[Handler], code: list):
         self.handlers = handlers
         self.costs = costs
         self.plain = plain
         #: The exact ``fn.code`` list this was compiled from; the loader's
         #: cache re-predecodes whenever a pass swaps the code list out.
         self.code = code
-        #: Static superinstruction sites by kind (fused at predecode).
-        self.fusion_sites = fusion_sites
 
 
 # ---------------------------------------------------------------------------
-# Inlined memory accessors.  The common access — within one page, page
-# already materialized, ordinary permissions — skips the read_uint →
-# read_uN → read → _page_for call chain and the intermediate bytes copy.
+# Inlined memory accessors.  The common access -- within one page, page
+# already materialized, ordinary permissions -- skips the read_uint ->
+# read_uN -> read -> _page_for call chain and the intermediate bytes copy.
 # ``space._perms`` holds exactly the materialized pages plus the pages
 # ``protect`` overrode, each with its current perms; mapped but untouched
 # pages live only in the space's extent list.  A missing entry therefore
@@ -188,537 +209,82 @@ def _fast_writer_f64(space) -> Callable[[int, float], None]:
     return wr
 
 
-class _MemCache:
-    """Per-compile cache of the inlined accessors (one closure per
-    (space, size, direction), shared by every handler that needs it)."""
+class _Runtime:
+    """What generated code binds from one VM: the objects its factories
+    read through ``rt.<name>``, and the memory accessors (one closure per
+    size and direction, shared by every handler that needs it)."""
 
-    __slots__ = ("space", "_readers", "_writers", "_rf64", "_wf64")
+    __slots__ = ("vm", "counters", "scheme", "program", "natives", "telem",
+                 "track_bounds", "space", "_accessors")
 
-    def __init__(self, space):
-        self.space = space
-        self._readers: Dict[int, Callable] = {}
-        self._writers: Dict[int, Callable] = {}
-        self._rf64 = None
-        self._wf64 = None
+    def __init__(self, vm):
+        self.vm = vm
+        self.counters = vm.counters
+        self.scheme = vm.scheme
+        self.program = vm.program
+        self.natives = vm.natives
+        self.telem = vm._telemetry
+        self.track_bounds = vm.scheme.uses_register_bounds
+        self.space = vm.space
+        self._accessors: Dict[tuple, Callable] = {}
 
-    def reader(self, size: int) -> Callable[[int], int]:
-        rd = self._readers.get(size)
-        if rd is None:
-            rd = self._readers[size] = _fast_reader(self.space, size)
-        return rd
-
-    def writer(self, size: int) -> Callable[[int, int], None]:
-        wr = self._writers.get(size)
-        if wr is None:
-            wr = self._writers[size] = _fast_writer(self.space, size)
-        return wr
-
-    def reader_f64(self) -> Callable[[int], float]:
-        if self._rf64 is None:
-            self._rf64 = _fast_reader_f64(self.space)
-        return self._rf64
-
-    def writer_f64(self) -> Callable[[int, float], None]:
-        if self._wf64 is None:
-            self._wf64 = _fast_writer_f64(self.space)
-        return self._wf64
-
-
-# ---------------------------------------------------------------------------
-# Plain (one-instruction) handler makers.  Each maker resolves operands
-# once and returns a closure; ``npc`` is the baked fall-through index.
-# ---------------------------------------------------------------------------
-
-def _make_binop(ins, consts, npc, counters):
-    op = ins.op
-    dest, a, b = ins.dest, ins.a, ins.b
-    # The hottest integer ops are inlined (no per-execution fn2 call);
-    # everything else goes through the same _BIN lambdas the reference
-    # loop uses, keeping trap/NaN semantics trivially identical.
-    if a >= 0 and b >= 0:
-        if op == ops.ADD:
-            def h(frame, regs, thread):
-                counters.instructions += 1
-                regs[dest] = (regs[a] + regs[b]) & M64
-                return npc
-            return h
-        if op == ops.SUB:
-            def h(frame, regs, thread):
-                counters.instructions += 1
-                regs[dest] = (regs[a] - regs[b]) & M64
-                return npc
-            return h
-        if op == ops.MUL:
-            def h(frame, regs, thread):
-                counters.instructions += 1
-                regs[dest] = (regs[a] * regs[b]) & M64
-                return npc
-            return h
-        fn2 = _BIN[op]
-        def h(frame, regs, thread):
-            counters.instructions += 1
-            regs[dest] = fn2(regs[a], regs[b])
-            return npc
-        return h
-    if a >= 0:
-        bv = consts[-b - 1]
-        if op == ops.ADD:
-            def h(frame, regs, thread):
-                counters.instructions += 1
-                regs[dest] = (regs[a] + bv) & M64
-                return npc
-            return h
-        if op == ops.SUB:
-            def h(frame, regs, thread):
-                counters.instructions += 1
-                regs[dest] = (regs[a] - bv) & M64
-                return npc
-            return h
-        if op == ops.MUL:
-            def h(frame, regs, thread):
-                counters.instructions += 1
-                regs[dest] = (regs[a] * bv) & M64
-                return npc
-            return h
-        fn2 = _BIN[op]
-        def h(frame, regs, thread):
-            counters.instructions += 1
-            regs[dest] = fn2(regs[a], bv)
-            return npc
-        return h
-    av = consts[-a - 1]
-    fn2 = _BIN[op]
-    if b >= 0:
-        def h(frame, regs, thread):
-            counters.instructions += 1
-            regs[dest] = fn2(av, regs[b])
-            return npc
-        return h
-    bv = consts[-b - 1]
-    def h(frame, regs, thread):
-        # Not folded at predecode: division by a zero constant must trap
-        # at execution time, exactly when the reference loop would.
-        counters.instructions += 1
-        regs[dest] = fn2(av, bv)
-        return npc
-    return h
-
-
-def _make_load(ins, consts, npc, counters, mem):
-    a, dest, size = ins.a, ins.dest, ins.size
-    read_uint = mem.reader(size)
-    if ins.is_float:
-        read_f64 = mem.reader_f64()
-        if a >= 0:
-            def h(frame, regs, thread):
-                counters.instructions += 1
-                regs[dest] = read_f64(regs[a] & M32)
-                return npc
-            return h
-        addr = consts[-a - 1] & M32
-        def h(frame, regs, thread):
-            counters.instructions += 1
-            regs[dest] = read_f64(addr)
-            return npc
-        return h
-    if ins.signed and size < 8:
-        sign = 1 << (size * 8 - 1)
-        wrap = sign << 1
-        if a >= 0:
-            def h(frame, regs, thread):
-                counters.instructions += 1
-                value = read_uint(regs[a] & M32)
-                regs[dest] = (value - wrap) & M64 if value & sign else value
-                return npc
-            return h
-        addr = consts[-a - 1] & M32
-        def h(frame, regs, thread):
-            counters.instructions += 1
-            value = read_uint(addr)
-            regs[dest] = (value - wrap) & M64 if value & sign else value
-            return npc
-        return h
-    if a >= 0:
-        def h(frame, regs, thread):
-            counters.instructions += 1
-            regs[dest] = read_uint(regs[a] & M32)
-            return npc
-        return h
-    addr = consts[-a - 1] & M32
-    def h(frame, regs, thread):
-        counters.instructions += 1
-        regs[dest] = read_uint(addr)
-        return npc
-    return h
-
-
-def _make_store(ins, consts, npc, counters, mem):
-    a, b, size = ins.a, ins.b, ins.size
-    if ins.is_float:
-        write_f64 = mem.writer_f64()
-        if a >= 0 and b >= 0:
-            def h(frame, regs, thread):
-                counters.instructions += 1
-                write_f64(regs[a] & M32, regs[b])
-                return npc
-            return h
-        def h(frame, regs, thread):
-            counters.instructions += 1
-            av = regs[a] if a >= 0 else consts[-a - 1]
-            bv = regs[b] if b >= 0 else consts[-b - 1]
-            write_f64(av & M32, bv)
-            return npc
-        return h
-    write_uint = mem.writer(size)
-    if a >= 0 and b >= 0:
-        def h(frame, regs, thread):
-            counters.instructions += 1
-            write_uint(regs[a] & M32, regs[b])
-            return npc
-        return h
-    if a >= 0:
-        bv = consts[-b - 1]
-        def h(frame, regs, thread):
-            counters.instructions += 1
-            write_uint(regs[a] & M32, bv)
-            return npc
-        return h
-    addr = consts[-a - 1] & M32
-    if b >= 0:
-        def h(frame, regs, thread):
-            counters.instructions += 1
-            write_uint(addr, regs[b])
-            return npc
-        return h
-    bv = consts[-b - 1]
-    def h(frame, regs, thread):
-        counters.instructions += 1
-        write_uint(addr, bv)
-        return npc
-    return h
-
-
-def _make_gep(ins, consts, npc, counters, track_bounds):
-    a, b, c, size, clamp, dest = ins.a, ins.b, ins.c, ins.size, \
-        ins.clamp, ins.dest
-    # §3.2's clamped arithmetic charges the extra merge op, exactly like
-    # the reference loop's `counters.instructions += 1` inside the branch.
-    inc = 2 if clamp else 1
-    if b is None:
-        if a >= 0 and not clamp and not track_bounds:
-            def h(frame, regs, thread):
-                counters.instructions += 1
-                regs[dest] = (regs[a] + c) & M64
-                return npc
-            return h
-        def h(frame, regs, thread):
-            counters.instructions += inc
-            base = regs[a] if a >= 0 else consts[-a - 1]
-            value = base + c
-            if clamp:
-                value = (base & HI32) | (value & M32)
+    def accessor(self, size: int, is_float: bool, write: bool):
+        key = (size, is_float, write)
+        fn = self._accessors.get(key)
+        if fn is None:
+            if is_float:
+                fn = (_fast_writer_f64 if write else _fast_reader_f64)(
+                    self.space)
             else:
-                value &= M64
-            regs[dest] = value
-            if track_bounds:
-                bnd = frame.bounds
-                if bnd is not None and a >= 0 and a in bnd:
-                    bnd[dest] = bnd[a]
-            return npc
-        return h
-    if a >= 0 and b >= 0 and not clamp and not track_bounds:
-        def h(frame, regs, thread):
-            counters.instructions += 1
-            regs[dest] = (regs[a] + regs[b] * size + c) & M64
-            return npc
-        return h
-    def h(frame, regs, thread):
-        counters.instructions += inc
-        base = regs[a] if a >= 0 else consts[-a - 1]
-        idx = regs[b] if b >= 0 else consts[-b - 1]
-        value = base + idx * size + c
-        if clamp:
-            value = (base & HI32) | (value & M32)
-        else:
-            value &= M64
-        regs[dest] = value
-        if track_bounds:
-            bnd = frame.bounds
-            if bnd is not None and a >= 0 and a in bnd:
-                bnd[dest] = bnd[a]
-        return npc
-    return h
-
-
-def _make_br(ins, consts, counters):
-    a, t1, t2 = ins.a, ins.t1, ins.t2
-    if a >= 0:
-        def h(frame, regs, thread):
-            counters.instructions += 1
-            counters.branches += 1
-            return t1 if regs[a] else t2
-        return h
-    av = consts[-a - 1]
-    target = t1 if av else t2
-    def h(frame, regs, thread):
-        counters.instructions += 1
-        counters.branches += 1
-        return target
-    return h
-
-
-def _make_jmp(ins, counters):
-    t1 = ins.t1
-    def h(frame, regs, thread):
-        counters.instructions += 1
-        counters.branches += 1
-        return t1
-    return h
-
-
-def _make_mov(ins, consts, npc, counters, track_bounds):
-    a, dest = ins.a, ins.dest
-    if a >= 0:
-        if not track_bounds:
-            def h(frame, regs, thread):
-                counters.instructions += 1
-                regs[dest] = regs[a]
-                return npc
-            return h
-        def h(frame, regs, thread):
-            counters.instructions += 1
-            regs[dest] = regs[a]
-            bnd = frame.bounds
-            if bnd is not None and a in bnd:
-                bnd[dest] = bnd[a]
-            return npc
-        return h
-    av = consts[-a - 1]
-    def h(frame, regs, thread):
-        counters.instructions += 1
-        regs[dest] = av
-        return npc
-    return h
-
-
-def _make_select(ins, consts, npc, counters):
-    a, b, c, dest = ins.a, ins.b, ins.c, ins.dest
-    def h(frame, regs, thread):
-        counters.instructions += 1
-        av = regs[a] if a >= 0 else consts[-a - 1]
-        chosen = b if av else c
-        regs[dest] = regs[chosen] if chosen >= 0 else consts[-chosen - 1]
-        return npc
-    return h
-
-
-def _make_alloca(ins, npc, counters):
-    dest, c = ins.dest, ins.c
-    def h(frame, regs, thread):
-        counters.instructions += 1
-        regs[dest] = frame.base + c
-        return npc
-    return h
-
-
-def _make_unary(ins, consts, npc, counters):
-    op, a, dest = ins.op, ins.a, ins.dest
-    if op == ops.TRUNC:
-        mask = (1 << (ins.size * 8)) - 1
-        if a >= 0:
-            def h(frame, regs, thread):
-                counters.instructions += 1
-                regs[dest] = regs[a] & mask
-                return npc
-            return h
-        av = consts[-a - 1]
-        def h(frame, regs, thread):
-            counters.instructions += 1
-            regs[dest] = av & mask
-            return npc
-        return h
-    if op == ops.SEXT:
-        bits = ins.size * 8
-        sign = 1 << (bits - 1)
-        mask = (1 << bits) - 1
-        wrap = 1 << bits
-        def h(frame, regs, thread):
-            counters.instructions += 1
-            av = (regs[a] if a >= 0 else consts[-a - 1]) & mask
-            regs[dest] = (av - wrap) & M64 if av & sign else av
-            return npc
-        return h
-    if op == ops.SITOFP:
-        def h(frame, regs, thread):
-            counters.instructions += 1
-            av = regs[a] if a >= 0 else consts[-a - 1]
-            regs[dest] = float(_s64(av))
-            return npc
-        return h
-    if op == ops.FPTOSI:
-        def h(frame, regs, thread):
-            counters.instructions += 1
-            av = regs[a] if a >= 0 else consts[-a - 1]
-            regs[dest] = int(av) & M64
-            return npc
-        return h
-    # FNEG
-    def h(frame, regs, thread):
-        counters.instructions += 1
-        av = regs[a] if a >= 0 else consts[-a - 1]
-        regs[dest] = -av
-        return npc
-    return h
-
-
-def _make_atomicrmw(ins, consts, npc, counters, mem):
-    a, b, dest, size, kind = ins.a, ins.b, ins.dest, ins.size, ins.name
-    read_uint = mem.reader(size)
-    write_uint = mem.writer(size)
-    def h(frame, regs, thread):
-        counters.instructions += 1
-        addr = (regs[a] if a >= 0 else consts[-a - 1]) & M32
-        val = regs[b] if b >= 0 else consts[-b - 1]
-        old = read_uint(addr)
-        if kind == "add":
-            write_uint(addr, (old + val) & M64)
-        elif kind == "xchg":
-            write_uint(addr, val)
-        elif kind == "sub":
-            write_uint(addr, (old - val) & M64)
-        else:
-            # Mirrors the reference ladder: the (traced) read of the old
-            # value happens before the unknown-kind diagnostic.
-            raise VMError(f"unknown atomicrmw kind {kind!r}")
-        regs[dest] = old
-        return npc
-    return h
-
-
-def _make_cmpxchg(ins, consts, npc, counters, mem):
-    a, b, c, dest, size = ins.a, ins.b, ins.c, ins.dest, ins.size
-    read_uint = mem.reader(size)
-    write_uint = mem.writer(size)
-    def h(frame, regs, thread):
-        counters.instructions += 1
-        addr = (regs[a] if a >= 0 else consts[-a - 1]) & M32
-        expected = regs[b] if b >= 0 else consts[-b - 1]
-        desired = regs[c] if c >= 0 else consts[-c - 1]
-        old = read_uint(addr)
-        if old == expected:
-            write_uint(addr, desired)
-        regs[dest] = old
-        return npc
-    return h
-
-
-def _make_bndmk(ins, consts, npc, counters):
-    a, b, dest = ins.a, ins.b, ins.dest
-    def h(frame, regs, thread):
-        counters.instructions += 1
-        base = (regs[a] if a >= 0 else consts[-a - 1]) & M32
-        size = regs[b] if b >= 0 else consts[-b - 1]
-        if frame.bounds is not None:
-            frame.bounds[dest] = (base, base + size)
-        return npc
-    return h
-
-
-def _make_bndcl(ins, consts, npc, counters, vm):
-    a, breg = ins.a, ins.dest
-    inc = 2 + (ins.c or 0)   # loop-top 1 + micro-coded 1 + spill cost
-    scheme = vm.scheme
-    def h(frame, regs, thread):
-        counters.instructions += inc
-        counters.bounds_checks += 1
-        fb = frame.bounds
-        if fb is not None:
-            bnd = fb.get(breg)
-            if bnd is not None:
-                val = (regs[a] if a >= 0 else consts[-a - 1]) & M32
-                if val < bnd[0]:
-                    scheme.handle_violation(vm, BoundsViolation(
-                        "mpx", val, bnd[0], bnd[1], access="read",
-                        what="bndcl"))
-        return npc
-    return h
-
-
-def _make_bndcu(ins, consts, npc, counters, vm):
-    a, breg, size = ins.a, ins.dest, ins.size
-    inc = 2 + (ins.c or 0)
-    scheme = vm.scheme
-    def h(frame, regs, thread):
-        counters.instructions += inc
-        counters.bounds_checks += 1
-        fb = frame.bounds
-        if fb is not None:
-            bnd = fb.get(breg)
-            if bnd is not None:
-                val = (regs[a] if a >= 0 else consts[-a - 1]) & M32
-                if val + size > bnd[1]:
-                    scheme.handle_violation(vm, BoundsViolation(
-                        "mpx", val, bnd[0], bnd[1], size=size,
-                        access="read", what="bndcu"))
-        return npc
-    return h
-
-
-def _make_bndldx(ins, consts, npc, counters, vm):
-    a, dest = ins.a, ins.dest
-    scheme = vm.scheme
-    def h(frame, regs, thread):
-        counters.instructions += 5   # loop-top 1 + BD/BT walk 4
-        slot = (regs[a] if a >= 0 else consts[-a - 1]) & M32
-        fb = frame.bounds
-        if fb is not None:
-            loaded = scheme.bt_load(vm, slot)
-            if loaded is not None:
-                fb[dest] = loaded
-            else:
-                fb.pop(dest, None)
-        return npc
-    return h
-
-
-def _make_bndstx(ins, consts, npc, counters, vm):
-    a, dest = ins.a, ins.dest
-    scheme = vm.scheme
-    def h(frame, regs, thread):
-        counters.instructions += 5
-        slot = (regs[a] if a >= 0 else consts[-a - 1]) & M32
-        fb = frame.bounds
-        if fb is not None:
-            scheme.bt_store(vm, slot, fb.get(dest))
-        return npc
-    return h
-
-
-def _make_trap(ins, counters):
-    message = ins.name or "trap"
-    def h(frame, regs, thread):
-        counters.instructions += 1
-        raise TrapError(message)
-    return h
-
-
-def _make_nop(npc, counters):
-    def h(frame, regs, thread):
-        counters.instructions += 1
-        return npc
-    return h
-
-
-def _make_raise(message, counters):
-    def h(frame, regs, thread):
-        counters.instructions += 1
-        raise VMError(message)
-    return h
+                fn = (_fast_writer if write else _fast_reader)(
+                    self.space, size)
+            self._accessors[key] = fn
+        return fn
 
 
 # ---------------------------------------------------------------------------
-# Calls and returns (the yield points of the dispatch loop).
+# Helpers the generated code calls.
 # ---------------------------------------------------------------------------
+
+def _s64(x: int) -> int:
+    return x - (1 << 64) if x & _SIGN64 else x
+
+
+def _sdiv(a: int, b: int) -> int:
+    if b == 0:
+        raise TrapError("integer division by zero")
+    sa, sb = _s64(a), _s64(b)
+    q = abs(sa) // abs(sb)
+    if (sa < 0) != (sb < 0):
+        q = -q
+    return q & M64
+
+
+def _srem(a: int, b: int) -> int:
+    if b == 0:
+        raise TrapError("integer remainder by zero")
+    sa, sb = _s64(a), _s64(b)
+    r = abs(sa) % abs(sb)
+    if sa < 0:
+        r = -r
+    return r & M64
+
+
+def _udiv(a: int, b: int) -> int:
+    if b == 0:
+        raise TrapError("integer division by zero")
+    return a // b
+
+
+def _urem(a: int, b: int) -> int:
+    if b == 0:
+        raise TrapError("integer remainder by zero")
+    return a % b
+
+
+def _fdiv(a: float, b: float) -> float:
+    return a / b if b != 0.0 else float("inf") * (1 if a >= 0 else -1)
+
 
 def _arg_plan(args, consts):
     """Bake each argument operand to (is_register, index_or_value)."""
@@ -726,531 +292,719 @@ def _arg_plan(args, consts):
                  for x in args)
 
 
-def _make_call(ins, consts, i, counters, vm, track_bounds):
-    npc = i + 1
-    dest = ins.dest
-    args = ins.args
-    plan = _arg_plan(args, consts)
-    name = ins.name
-    telem = vm._telemetry
-    program = vm.program
-
-    if name is not None:
-        callee = program.functions.get(name)
-        if callee is None:
-            # Natives are looked up per call (mirroring the reference
-            # ladder), so a handler table swapped in after predecode —
-            # or a genuinely unknown name — behaves identically.
-            natives = vm.natives
-            def h(frame, regs, thread):
-                counters.instructions += 1
-                counters.calls += 1
-                values = [regs[x] if isreg else x
-                          for isreg, x in plan]
-                native = natives.get(name)
-                if native is None:
-                    raise VMError(f"unknown function {name!r}")
-                if track_bounds and frame.bounds is not None:
-                    vm.native_arg_bounds = [
-                        frame.bounds.get(x) if x >= 0 else None
-                        for x in args]
-                if telem is None:
-                    result = native(vm, thread, values)
-                else:
-                    t0 = counters.instructions
-                    result = native(vm, thread, values)
-                    telem.native_call(name, thread.tid, t0,
-                                      counters.instructions)
-                if result is BLOCK_RETRY:
-                    frame.pc = i   # re-execute the call on wake
-                    return -1
-                if vm._ckpt_pending is not None:
-                    # net_recv asked for a request checkpoint; snapshot
-                    # at the CALL itself (see the reference loop).
-                    ck_conn, ck_raw = vm._ckpt_pending
-                    vm._ckpt_pending = None
-                    frame.pc = i
-                    thread.checkpoint = RequestCheckpoint(
-                        thread, ck_conn, ck_raw)
-                if type(result) is NativeResult:
-                    if dest is not None:
-                        regs[dest] = result.value
-                        if frame.bounds is not None and result.bounds:
-                            frame.bounds[dest] = result.bounds
-                elif dest is not None:
-                    regs[dest] = result if result is not None else 0
-                if thread.state != RUNNABLE \
-                        or thread.frames[-1] is not frame:
-                    frame.pc = npc
-                    return -1
-                return npc
-            return h
-
-        def h(frame, regs, thread):
-            counters.instructions += 1
-            counters.calls += 1
-            values = [regs[x] if isreg else x for isreg, x in plan]
-            arg_bounds = None
-            if track_bounds and frame.bounds is not None:
-                arg_bounds = {}
-                fb = frame.bounds
-                for j, x in enumerate(args):
-                    if x >= 0 and x in fb:
-                        arg_bounds[j] = fb[x]
-            frame.pc = npc
-            vm._push_frame(thread, callee, values, dest, arg_bounds)
-            return -1
-        return h
-
-    # Indirect call through a register/constant function pointer.
-    a = ins.a
-    def h(frame, regs, thread):
-        counters.instructions += 1
-        counters.calls += 1
-        values = [regs[x] if isreg else x for isreg, x in plan]
-        target = (regs[a] if a >= 0 else consts[-a - 1]) & ADDRESS_MASK
-        callee = program.function_at(target)
-        if callee is None:
-            raise SegmentationFault(target, 1, "indirect call to non-code")
-        arg_bounds = None
-        if track_bounds and frame.bounds is not None:
-            arg_bounds = {}
-            fb = frame.bounds
-            for j, x in enumerate(args):
-                if x >= 0 and x in fb:
-                    arg_bounds[j] = fb[x]
-        frame.pc = npc
-        vm._push_frame(thread, callee, values, dest, arg_bounds)
-        return -1
-    return h
-
-
-def _make_ret(ins, consts, counters, vm, track_bounds, mem):
-    a = ins.a
-    telem = vm._telemetry
-    read_u64 = mem.reader(8)
-    aval = None if a is None or a >= 0 else consts[-a - 1]
-    def h(frame, regs, thread):
-        counters.instructions += 1
-        if a is None:
-            value = 0
-        elif a >= 0:
-            value = regs[a]
-        else:
-            value = aval
-        actual = read_u64(frame.ret_slot)
-        if actual != frame.token:
-            vm._corrupted_return(actual)
-        ret_bounds = None
-        if track_bounds and frame.bounds is not None \
-                and a is not None and a >= 0:
-            ret_bounds = frame.bounds.get(a)
-        thread.frames.pop()
-        if telem is not None:
-            telem.function_exit(frame.fn.name, thread.tid,
-                                counters.instructions)
-        thread.sp = frame.base + frame.fn.frame_size
-        if not thread.frames:
-            vm._finish_thread(thread, value)
-            return -1
-        parent = thread.frames[-1]
-        if frame.dest is not None:
-            parent.regs[frame.dest] = value
-            if parent.bounds is not None and ret_bounds:
-                parent.bounds[frame.dest] = ret_bounds
-        return -1
-    return h
+#: Globals of every generated function.
+_NS = {
+    "M64": M64, "M32": M32, "HI32": HI32, "ADDRESS_MASK": ADDRESS_MASK,
+    "_s64": _s64, "_sdiv": _sdiv, "_udiv": _udiv, "_srem": _srem,
+    "_urem": _urem, "_fdiv": _fdiv, "_arg_plan": _arg_plan,
+    "BoundsViolation": BoundsViolation, "SegmentationFault": SegmentationFault,
+    "TrapError": TrapError, "VMError": VMError, "NativeResult": NativeResult,
+    "RequestCheckpoint": RequestCheckpoint, "BLOCK_RETRY": BLOCK_RETRY,
+    "RUNNABLE": RUNNABLE,
+}
 
 
 # ---------------------------------------------------------------------------
-# Superinstructions.
+# The emitter interface the opcode table writes through.  Operands are
+# named by instruction field ("a", "b", "c", "dest").  Op definitions
+# may branch only on fields that are part of the per-instruction shape
+# (see _shape); every other field is read through v/d/ix/imm.
 # ---------------------------------------------------------------------------
 
-def _fuse_gep_load(gep, load, consts, i, counters, mem, track_bounds,
-                   stats):
-    npc = i + 2
-    ga, gb, gc, gsize, clamp = gep.a, gep.b, gep.c, gep.size, gep.clamp
-    gdest = gep.dest
-    ldest, lsize = load.dest, load.size
-    # GEP's loop-top 1 (+1 clamped merge) plus LOAD's loop-top 1, all
-    # charged before the traced read — identical totals at the only
-    # observable point of the pair.
-    inc = 3 if clamp else 2
-    is_float = load.is_float
-    signed = load.signed and lsize < 8
-    sign = 1 << (lsize * 8 - 1)
-    wrap = sign << 1
-    read_f64 = mem.reader_f64() if is_float else None
-    read_uint = mem.reader(lsize) if not is_float else None
-    def h(frame, regs, thread):
-        counters.instructions += inc
-        base = regs[ga] if ga >= 0 else consts[-ga - 1]
-        if gb is None:
-            value = base + gc
+class _Emitter:
+    def __init__(self, ins, rt):
+        self.ins = ins
+        self.program = rt.program
+        self.track_bounds = rt.track_bounds
+        self.lines: List[str] = []
+        #: Names the generated function binds once, as default arguments
+        #: (locals are CPython's fastest variables).
+        self.params: Dict[str, object] = {}
+        self.bind("counters", "rt.counters", ("rt", "counters"))
+        self.next_pc = None     # terminator expression, or None
+
+    def line(self, text: str) -> None:
+        self.lines.append(text)
+
+    def is_reg(self, field: str) -> bool:
+        return getattr(self.ins, field) >= 0
+
+    def obj(self, name: str) -> str:
+        """A runtime object (``vm``, ``scheme``, ``natives``, ...)."""
+        self.bind(name, f"rt.{name}", ("rt", name))
+        return name
+
+    def mem(self, size: int, is_float: bool, write: bool) -> str:
+        """A bound memory accessor for this access shape."""
+        name = ("wr" if write else "rd") + ("f" if is_float else str(size))
+        args = (size, is_float, write)
+        self.bind(name, f"rt.accessor{args}", ("mem", args))
+        return name
+
+    def goto(self, expr: str) -> None:
+        self.next_pc = expr
+
+
+class _InsnEmitter(_Emitter):
+    """Per-instruction tier: operands become parameters the factory reads
+    from the instruction, so one factory serves every instruction of the
+    same shape."""
+
+    def __init__(self, ins, rt):
+        super().__init__(ins, rt)
+        self.charges: List[str] = []
+        self.returns = False    # the body ends in its own return
+
+    def bind(self, name: str, expr: str, recipe=None) -> None:
+        self.params[name] = expr
+
+    def v(self, field: str) -> str:
+        if self.is_reg(field):
+            self.bind(field, f"ins.{field}")
+            return f"regs[{field}]"
+        self.bind(field, f"K[-ins.{field} - 1]")
+        return field
+
+    def ix(self, field: str) -> str:
+        self.bind(field, f"ins.{field}")
+        return field
+
+    imm = ix
+
+    def d(self, field: str = "dest") -> str:
+        return f"regs[{self.ix(field)}]"
+
+    def charge(self, n: int, field: str = None) -> None:
+        if field is None:
+            self.charges.append(str(n))
         else:
-            value = base + (regs[gb] if gb >= 0 else consts[-gb - 1]) \
-                * gsize + gc
-        if clamp:
-            value = (base & HI32) | (value & M32)
-        else:
-            value &= M64
-        regs[gdest] = value
-        if track_bounds:
-            bnd = frame.bounds
-            if bnd is not None and ga >= 0 and ga in bnd:
-                bnd[gdest] = bnd[ga]
-        if is_float:
-            regs[ldest] = read_f64(value & M32)
-        else:
-            loaded = read_uint(value & M32)
-            if signed and loaded & sign:
-                loaded = (loaded - wrap) & M64
-            regs[ldest] = loaded
-        if stats is not None:
-            stats["gep_load"] += 1
-        return npc
-    return h
+            self.bind("inc", f"{n} + (ins.{field} or 0)")
+            self.charges.append("inc")
+
+    def sync(self) -> None:
+        pass    # the whole charge precedes the body
+
+    def source(self) -> str:
+        self.bind("npc", "i + 1")
+        out = ["def _factory(ins, K, rt, i):"]
+        out += [f"    {name} = {expr}" for name, expr in self.params.items()]
+        defaults = ", ".join(f"{name}={name}" for name in self.params)
+        out.append(f"    def h(frame, regs, thread, {defaults}):")
+        out.append(f"        counters.instructions += "
+                   f"{' + '.join(self.charges)}")
+        out += [f"        {text}" for text in self.lines]
+        if not self.returns:
+            out.append(f"        return {self.next_pc or 'npc'}")
+        out.append("    return h")
+        return "\n".join(out)
 
 
-def _fuse_gep_store(gep, store, consts, i, counters, mem, track_bounds,
-                    stats):
-    npc = i + 2
-    ga, gb, gc, gsize, clamp = gep.a, gep.b, gep.c, gep.size, gep.clamp
-    gdest = gep.dest
-    sb, ssize = store.b, store.size
-    inc = 3 if clamp else 2
-    is_float = store.is_float
-    write_f64 = mem.writer_f64() if is_float else None
-    write_uint = mem.writer(ssize) if not is_float else None
-    def h(frame, regs, thread):
-        counters.instructions += inc
-        base = regs[ga] if ga >= 0 else consts[-ga - 1]
-        if gb is None:
-            value = base + gc
-        else:
-            value = base + (regs[gb] if gb >= 0 else consts[-gb - 1]) \
-                * gsize + gc
-        if clamp:
-            value = (base & HI32) | (value & M32)
-        else:
-            value &= M64
-        regs[gdest] = value
-        if track_bounds:
-            bnd = frame.bounds
-            if bnd is not None and ga >= 0 and ga in bnd:
-                bnd[gdest] = bnd[ga]
-        stored = regs[sb] if sb >= 0 else consts[-sb - 1]
-        if is_float:
-            write_f64(value & M32, stored)
-        else:
-            write_uint(value & M32, stored)
-        if stats is not None:
-            stats["gep_store"] += 1
-        return npc
-    return h
+class _BlockEmitter(_Emitter):
+    """Block tier: registers are locals ``r<n>`` loaded on entry and
+    written back on exit, constants are ``k<n>`` bound per VM, and
+    immediates are literals.  The instruction charge is deferred and
+    flushed at every observable point (``sync``)."""
 
+    def __init__(self, rt):
+        super().__init__(None, rt)
+        self.pending = 0
+        self.live_in: List[int] = []
+        self.written: List[int] = []
 
-def _chain2(h1, h2, stats):
-    """Batch two adjacent handlers into one dispatch.  Valid whenever h1
-    is straight-line (fixed fall-through, never yields): every sub-handler
-    still charges its own counters before its own observable effects, so
-    an exception from h2 leaves exactly the reference state."""
-    if stats is None:
-        def h(frame, regs, thread):
-            h1(frame, regs, thread)
-            return h2(frame, regs, thread)
-        return h
-    def h(frame, regs, thread):
-        h1(frame, regs, thread)
-        stats["chain"] += 1
-        return h2(frame, regs, thread)
-    return h
+    def bind(self, name: str, expr: str, recipe) -> None:
+        self.params[name] = recipe
 
+    def v(self, field: str) -> str:
+        x = getattr(self.ins, field)
+        if x >= 0:
+            if x not in self.written and x not in self.live_in:
+                self.live_in.append(x)
+            return f"r{x}"
+        self.bind(f"k{-x - 1}", None, ("k", -x - 1))
+        return f"k{-x - 1}"
 
-def _chain3(h1, h2, h3, stats):
-    if stats is None:
-        def h(frame, regs, thread):
-            h1(frame, regs, thread)
-            h2(frame, regs, thread)
-            return h3(frame, regs, thread)
-        return h
-    def h(frame, regs, thread):
-        h1(frame, regs, thread)
-        h2(frame, regs, thread)
-        stats["chain"] += 1
-        return h3(frame, regs, thread)
-    return h
+    def d(self, field: str = "dest") -> str:
+        x = getattr(self.ins, field)
+        if x not in self.written:
+            self.written.append(x)
+        return f"r{x}"
 
+    def ix(self, field: str) -> str:
+        return repr(getattr(self.ins, field))
 
-def _fuse_cmp_br(cmp_ins, br, consts, counters, stats):
-    fn2 = _BIN[cmp_ins.op]
-    a, b, dest = cmp_ins.a, cmp_ins.b, cmp_ins.dest
-    t1, t2 = br.t1, br.t2
-    def h(frame, regs, thread):
-        counters.instructions += 2
-        counters.branches += 1
-        av = regs[a] if a >= 0 else consts[-a - 1]
-        bv = regs[b] if b >= 0 else consts[-b - 1]
-        cond = fn2(av, bv)
-        regs[dest] = cond
-        if stats is not None:
-            stats["cmp_br"] += 1
-        return t1 if cond else t2
-    return h
+    imm = ix
 
+    def charge(self, n: int, field: str = None) -> None:
+        self.pending += n + ((getattr(self.ins, field) or 0) if field else 0)
 
-def _fuse_bnd_access(cl, cu, access, consts, i, counters, mem, vm,
-                     stats):
-    """MPX's BNDCL + BNDCU + load/store triple (the paper's per-access
-    check sequence), with counter updates interleaved step by step so a
-    violation raised from either check carries the reference timestamp."""
-    npc = i + 3
-    pa, breg = cl.a, cl.dest
-    inc_cl = 2 + (cl.c or 0)
-    inc_cu = 2 + (cu.c or 0)
-    cu_size = cu.size
-    scheme = vm.scheme
-    is_store = access.op == ops.STORE
-    asize = access.size
-    is_float = access.is_float
-    signed = access.signed and asize < 8
-    sign = 1 << (asize * 8 - 1)
-    wrap = sign << 1
-    sb = access.b
-    adest = access.dest
-    read_f64 = mem.reader_f64() if is_float else None
-    write_f64 = mem.writer_f64() if is_float else None
-    read_uint = mem.reader(asize) if not is_float else None
-    write_uint = mem.writer(asize) if not is_float else None
-    def h(frame, regs, thread):
-        counters.instructions += inc_cl
-        counters.bounds_checks += 1
-        fb = frame.bounds
-        bnd = fb.get(breg) if fb is not None else None
-        if bnd is not None:
-            val = (regs[pa] if pa >= 0 else consts[-pa - 1]) & M32
-            if val < bnd[0]:
-                scheme.handle_violation(vm, BoundsViolation(
-                    "mpx", val, bnd[0], bnd[1], access="read",
-                    what="bndcl"))
-        counters.instructions += inc_cu
-        counters.bounds_checks += 1
-        if bnd is not None:
-            val = (regs[pa] if pa >= 0 else consts[-pa - 1]) & M32
-            if val + cu_size > bnd[1]:
-                scheme.handle_violation(vm, BoundsViolation(
-                    "mpx", val, bnd[0], bnd[1], size=cu_size,
-                    access="read", what="bndcu"))
-        counters.instructions += 1
-        addr = (regs[pa] if pa >= 0 else consts[-pa - 1]) & M32
-        if is_store:
-            stored = regs[sb] if sb >= 0 else consts[-sb - 1]
-            if is_float:
-                write_f64(addr, stored)
-            else:
-                write_uint(addr, stored)
-        elif is_float:
-            regs[adest] = read_f64(addr)
-        else:
-            loaded = read_uint(addr)
-            if signed and loaded & sign:
-                loaded = (loaded - wrap) & M64
-            regs[adest] = loaded
-        if stats is not None:
-            stats["bnd_access"] += 1
-        return npc
-    return h
+    def sync(self) -> None:
+        if self.pending:
+            self.line(f"counters.instructions += {self.pending}")
+            self.pending = 0
+
+    def source(self, fallthrough: int) -> str:
+        self.sync()
+        out = [f"def blk(frame, regs, thread, {', '.join(self.params)}):"]
+        out += [f"    r{x} = regs[{x}]" for x in self.live_in]
+        out += [f"    {text}" for text in self.lines]
+        out += [f"    regs[{x}] = r{x}" for x in self.written]
+        out.append(f"    return {self.next_pc or fallthrough}")
+        return "\n".join(out)
 
 
 # ---------------------------------------------------------------------------
-# The predecoder.
+# The opcode table.  Each entry writes one instruction: its charge (in
+# IR-instruction units, before any observable effect), its side effects,
+# and for BR/JMP the next pc.
 # ---------------------------------------------------------------------------
 
-def _make_plain(ins, consts, i, counters, vm, track_bounds, mem):
-    """Standalone handler for one instruction (mirrors the reference
-    if/elif ladder exactly)."""
-    npc = i + 1
+#: Binary ops as expressions over the operands ``{a}`` and ``{b}``.
+_BIN_EXPR = {
+    ops.ADD: "({a} + {b}) & M64",
+    ops.SUB: "({a} - {b}) & M64",
+    ops.MUL: "({a} * {b}) & M64",
+    ops.SDIV: "_sdiv({a}, {b})",
+    ops.UDIV: "_udiv({a}, {b})",
+    ops.SREM: "_srem({a}, {b})",
+    ops.UREM: "_urem({a}, {b})",
+    ops.AND: "{a} & {b}",
+    ops.OR: "{a} | {b}",
+    ops.XOR: "{a} ^ {b}",
+    ops.SHL: "({a} << ({b} & 63)) & M64",
+    ops.LSHR: "{a} >> ({b} & 63)",
+    ops.ASHR: "(_s64({a}) >> ({b} & 63)) & M64",
+    ops.FADD: "{a} + {b}",
+    ops.FSUB: "{a} - {b}",
+    ops.FMUL: "{a} * {b}",
+    ops.FDIV: "_fdiv({a}, {b})",
+    ops.EQ: "1 if {a} == {b} else 0",
+    ops.NE: "1 if {a} != {b} else 0",
+    ops.SLT: "1 if _s64({a}) < _s64({b}) else 0",
+    ops.SLE: "1 if _s64({a}) <= _s64({b}) else 0",
+    ops.SGT: "1 if _s64({a}) > _s64({b}) else 0",
+    ops.SGE: "1 if _s64({a}) >= _s64({b}) else 0",
+    ops.ULT: "1 if {a} < {b} else 0",
+    ops.ULE: "1 if {a} <= {b} else 0",
+    ops.UGT: "1 if {a} > {b} else 0",
+    ops.UGE: "1 if {a} >= {b} else 0",
+    ops.FEQ: "1 if {a} == {b} else 0",
+    ops.FNE: "1 if {a} != {b} else 0",
+    ops.FLT: "1 if {a} < {b} else 0",
+    ops.FLE: "1 if {a} <= {b} else 0",
+    ops.FGT: "1 if {a} > {b} else 0",
+    ops.FGE: "1 if {a} >= {b} else 0",
+}
+
+#: Binary ops that trap on a zero divisor.
+_TRAPPING = frozenset((ops.SDIV, ops.UDIV, ops.SREM, ops.UREM))
+
+
+def _binop(e, ins):
+    e.charge(1)
+    if ins.op in _TRAPPING:
+        e.sync()
+    a, b = e.v("a"), e.v("b")
+    e.line(f"{e.d()} = " + _BIN_EXPR[ins.op].format(a=a, b=b))
+
+
+def _copy_bounds(e, ins):
+    """MPX: the result register inherits the bounds of register ``a``."""
+    if e.track_bounds and e.is_reg("a"):
+        src, dst = e.ix("a"), e.ix("dest")
+        e.line("_fb = frame.bounds")
+        e.line(f"if _fb is not None and {src} in _fb:")
+        e.line(f"    _fb[{dst}] = _fb[{src}]")
+
+
+def _load(e, ins):
+    e.charge(1)
+    e.sync()
+    a = e.v("a")
+    if ins.is_float:
+        e.line(f"{e.d()} = {e.mem(8, True, False)}({a} & M32)")
+    elif ins.signed and ins.size < 8:
+        sign = 1 << (ins.size * 8 - 1)
+        e.line(f"_t = {e.mem(ins.size, False, False)}({a} & M32)")
+        e.line(f"{e.d()} = (_t - {sign << 1}) & M64 if _t & {sign} else _t")
+    else:
+        e.line(f"{e.d()} = {e.mem(ins.size, False, False)}({a} & M32)")
+
+
+def _store(e, ins):
+    e.charge(1)
+    e.sync()
+    a, b = e.v("a"), e.v("b")
+    size = 8 if ins.is_float else ins.size
+    e.line(f"{e.mem(size, ins.is_float, True)}({a} & M32, {b})")
+
+
+def _gep(e, ins):
+    # §3.2's 32-bit-confined arithmetic: on x86 a clamped GEP lowers to a
+    # 32-bit lea plus one merge op, hence the extra instruction.
+    e.charge(2 if ins.clamp else 1)
+    a = e.v("a")
+    if ins.b is None:
+        value = f"{a} + {e.imm('c')}"
+    else:
+        value = f"{a} + {e.v('b')} * {ins.size} + {e.imm('c')}"
+    if ins.clamp:
+        e.line(f"{e.d()} = ({a} & HI32) | (({value}) & M32)")
+    else:
+        e.line(f"{e.d()} = ({value}) & M64")
+    _copy_bounds(e, ins)
+
+
+def _br(e, ins):
+    e.charge(1)
+    e.line("counters.branches += 1")
+    e.goto(f"{e.imm('t1')} if {e.v('a')} else {e.imm('t2')}")
+
+
+def _jmp(e, ins):
+    e.charge(1)
+    e.line("counters.branches += 1")
+    e.goto(e.imm("t1"))
+
+
+def _mov(e, ins):
+    e.charge(1)
+    a = e.v("a")
+    e.line(f"{e.d()} = {a}")
+    _copy_bounds(e, ins)
+
+
+def _select(e, ins):
+    e.charge(1)
+    a, b, c = e.v("a"), e.v("b"), e.v("c")
+    e.line(f"{e.d()} = {b} if {a} else {c}")
+
+
+def _alloca(e, ins):
+    e.charge(1)
+    e.line(f"{e.d()} = frame.base + {e.imm('c')}")
+
+
+def _trunc(e, ins):
+    e.charge(1)
+    a = e.v("a")
+    e.line(f"{e.d()} = {a} & {(1 << (ins.size * 8)) - 1}")
+
+
+def _sext(e, ins):
+    e.charge(1)
+    bits = ins.size * 8
+    e.line(f"_t = {e.v('a')} & {(1 << bits) - 1}")
+    e.line(f"{e.d()} = (_t - {1 << bits}) & M64 "
+           f"if _t & {1 << (bits - 1)} else _t")
+
+
+def _sitofp(e, ins):
+    e.charge(1)
+    a = e.v("a")
+    e.line(f"{e.d()} = float(_s64({a}))")
+
+
+def _fptosi(e, ins):
+    e.charge(1)
+    e.sync()    # int() raises on NaN and infinities
+    a = e.v("a")
+    e.line(f"{e.d()} = int({a}) & M64")
+
+
+def _fneg(e, ins):
+    e.charge(1)
+    a = e.v("a")
+    e.line(f"{e.d()} = -{a}")
+
+
+def _atomicrmw(e, ins):
+    e.charge(1)
+    e.sync()
+    e.line(f"_addr = {e.v('a')} & M32")
+    e.line(f"_v = {e.v('b')}")
+    wr = e.mem(ins.size, False, True)
+    e.line(f"_old = {e.mem(ins.size, False, False)}(_addr)")
+    if ins.name == "add":
+        e.line(f"{wr}(_addr, (_old + _v) & M64)")
+    elif ins.name == "xchg":
+        e.line(f"{wr}(_addr, _v)")
+    elif ins.name == "sub":
+        e.line(f"{wr}(_addr, (_old - _v) & M64)")
+    else:
+        # The (traced) read of the old value precedes the diagnostic.
+        e.line(f"raise VMError({f'unknown atomicrmw kind {ins.name!r}'!r})")
+    e.line(f"{e.d()} = _old")
+
+
+def _cmpxchg(e, ins):
+    e.charge(1)
+    e.sync()
+    e.line(f"_addr = {e.v('a')} & M32")
+    e.line(f"_exp = {e.v('b')}")
+    e.line(f"_new = {e.v('c')}")
+    e.line(f"_old = {e.mem(ins.size, False, False)}(_addr)")
+    e.line("if _old == _exp:")
+    e.line(f"    {e.mem(ins.size, False, True)}(_addr, _new)")
+    e.line(f"{e.d()} = _old")
+
+
+def _bndmk(e, ins):
+    e.charge(1)
+    e.line(f"_base = {e.v('a')} & M32")
+    e.line(f"_size = {e.v('b')}")
+    e.line("if frame.bounds is not None:")
+    e.line(f"    frame.bounds[{e.ix('dest')}] = (_base, _base + _size)")
+
+
+def _bndc(e, ins):
+    # MPX bound checks are micro-coded multi-uop instructions (Oleksenko
+    # et al., "Intel MPX Explained"); ``c`` additionally carries the
+    # pass-computed bounds-register spill cost (only 4 architectural
+    # bounds registers exist).
+    e.charge(2, "c")
+    e.sync()
+    e.line("counters.bounds_checks += 1")
+    e.line("_fb = frame.bounds")
+    e.line(f"_bnd = _fb.get({e.ix('dest')}) if _fb is not None else None")
+    e.line("if _bnd is not None:")
+    e.line(f"    _val = {e.v('a')} & M32")
+    scheme, vm = e.obj("scheme"), e.obj("vm")
+    if ins.op == ops.BNDCL:
+        e.line("    if _val < _bnd[0]:")
+        e.line(f"        {scheme}.handle_violation({vm}, BoundsViolation("
+               f"'mpx', _val, _bnd[0], _bnd[1], access='read', "
+               f"what='bndcl'))")
+    else:
+        e.line(f"    if _val + {ins.size} > _bnd[1]:")
+        e.line(f"        {scheme}.handle_violation({vm}, BoundsViolation("
+               f"'mpx', _val, _bnd[0], _bnd[1], size={ins.size}, "
+               f"access='read', what='bndcu'))")
+
+
+def _bndldx(e, ins):
+    # Two-level BD/BT translation plus the compiler's bounds-register
+    # spill pressure: several uops beyond the table's memory traffic.
+    e.charge(5)
+    e.sync()
+    e.line(f"_slot = {e.v('a')} & M32")
+    e.line("_fb = frame.bounds")
+    e.line("if _fb is not None:")
+    e.line(f"    _got = {e.obj('scheme')}.bt_load({e.obj('vm')}, _slot)")
+    e.line("    if _got is not None:")
+    e.line(f"        _fb[{e.ix('dest')}] = _got")
+    e.line("    else:")
+    e.line(f"        _fb.pop({e.ix('dest')}, None)")
+
+
+def _bndstx(e, ins):
+    e.charge(5)
+    e.sync()
+    e.line(f"_slot = {e.v('a')} & M32")
+    e.line("_fb = frame.bounds")
+    e.line("if _fb is not None:")
+    e.line(f"    {e.obj('scheme')}.bt_store({e.obj('vm')}, _slot, "
+           f"_fb.get({e.ix('dest')}))")
+
+
+def _nop(e, ins):
+    e.charge(1)
+
+
+def _trap(e, ins):
+    e.charge(1)
+    e.line(f"raise TrapError({e.imm('name')} or 'trap')")
+
+
+# CALL and RET yield to the dispatch loop, so they only ever run in the
+# per-instruction tier.
+
+def _call(e, ins):
+    e.charge(1)
+    e.returns = True
+    vm = e.obj("vm")
+    e.bind("i", "i")
+    e.bind("plan", "_arg_plan(ins.args, K)")
+    args, dest = e.imm("args"), e.imm("dest")
+    e.line("counters.calls += 1")
+    e.line("values = [regs[x] if isreg else x for isreg, x in plan]")
+    kind = _call_kind(ins, e.program)
+    if kind == _NATIVE:
+        # Natives are looked up per call, so a handler table swapped in
+        # after predecode -- or a genuinely unknown name -- is honoured.
+        name, natives, telem = e.imm("name"), e.obj("natives"), e.obj("telem")
+        e.line(f"native = {natives}.get({name})")
+        e.line("if native is None:")
+        e.line(f"    raise VMError(f'unknown function {{{name}!r}}')")
+        if e.track_bounds:
+            e.line("if frame.bounds is not None:")
+            e.line(f"    {vm}.native_arg_bounds = [frame.bounds.get(x) "
+                   f"if x >= 0 else None for x in {args}]")
+        e.line(f"if {telem} is None:")
+        e.line(f"    result = native({vm}, thread, values)")
+        e.line("else:")
+        e.line("    t0 = counters.instructions")
+        e.line(f"    result = native({vm}, thread, values)")
+        e.line(f"    {telem}.native_call({name}, thread.tid, t0, "
+               f"counters.instructions)")
+        e.line("if result is BLOCK_RETRY:")
+        e.line("    frame.pc = i    # re-execute the call on wake")
+        e.line("    return -1")
+        # net_recv asked for a request checkpoint: snapshot at the CALL
+        # itself (before the result lands in a register), so restoring
+        # re-executes net_recv, which then serves the *next* request.
+        e.line(f"if {vm}._ckpt_pending is not None:")
+        e.line(f"    ck_conn, ck_raw = {vm}._ckpt_pending")
+        e.line(f"    {vm}._ckpt_pending = None")
+        e.line("    frame.pc = i")
+        e.line("    thread.checkpoint = RequestCheckpoint(thread, ck_conn, "
+               "ck_raw)")
+        e.line("if type(result) is NativeResult:")
+        e.line(f"    if {dest} is not None:")
+        e.line(f"        regs[{dest}] = result.value")
+        e.line("        if frame.bounds is not None and result.bounds:")
+        e.line(f"            frame.bounds[{dest}] = result.bounds")
+        e.line(f"elif {dest} is not None:")
+        e.line(f"    regs[{dest}] = result if result is not None else 0")
+        e.line("if thread.state != RUNNABLE "
+               "or thread.frames[-1] is not frame:")
+        e.line("    frame.pc = npc")
+        e.line("    return -1")
+        e.line("return npc")
+        return
+    if kind == _DIRECT:
+        e.bind("callee", "rt.program.functions[ins.name]")
+    else:
+        e.line(f"target = {e.v('a')} & ADDRESS_MASK")
+        e.line(f"callee = {e.obj('program')}.function_at(target)")
+        e.line("if callee is None:")
+        e.line("    raise SegmentationFault(target, 1, "
+               "'indirect call to non-code')")
+    e.line("arg_bounds = None")
+    if e.track_bounds:
+        e.line("if frame.bounds is not None:")
+        e.line("    arg_bounds = {}")
+        e.line("    fb = frame.bounds")
+        e.line(f"    for j, x in enumerate({args}):")
+        e.line("        if x >= 0 and x in fb:")
+        e.line("            arg_bounds[j] = fb[x]")
+    e.line("frame.pc = npc")
+    e.line(f"{vm}._push_frame(thread, callee, values, {dest}, arg_bounds)")
+    e.line("return -1")
+
+
+def _ret(e, ins):
+    e.charge(1)
+    e.returns = True
+    vm, telem = e.obj("vm"), e.obj("telem")
+    value = "0" if ins.a is None else e.v("a")
+    e.line(f"value = {value}")
+    e.line(f"actual = {e.mem(8, False, False)}(frame.ret_slot)")
+    e.line("if actual != frame.token:")
+    e.line(f"    {vm}._corrupted_return(actual)")
+    e.line("ret_bounds = None")
+    if e.track_bounds and ins.a is not None and ins.a >= 0:
+        e.line("if frame.bounds is not None:")
+        e.line(f"    ret_bounds = frame.bounds.get({e.ix('a')})")
+    e.line("thread.frames.pop()")
+    e.line(f"if {telem} is not None:")
+    e.line(f"    {telem}.function_exit(frame.fn.name, thread.tid, "
+           f"counters.instructions)")
+    e.line("thread.sp = frame.base + frame.fn.frame_size")
+    e.line("if not thread.frames:")
+    e.line(f"    {vm}._finish_thread(thread, value)")
+    e.line("    return -1")
+    e.line("parent = thread.frames[-1]")
+    e.line("if frame.dest is not None:")
+    e.line("    parent.regs[frame.dest] = value")
+    e.line("    if parent.bounds is not None and ret_bounds:")
+    e.line("        parent.bounds[frame.dest] = ret_bounds")
+    e.line("return -1")
+
+
+def _unknown(e, ins):
+    e.charge(1)
+    message = f"unhandled opcode {ins.op} ({ops.OP_NAMES.get(ins.op)})"
+    e.line(f"raise VMError({message!r})")
+
+
+_TABLE: Dict[int, Callable] = {op: _binop for op in _BIN_EXPR}
+_TABLE.update({
+    ops.LOAD: _load, ops.STORE: _store, ops.GEP: _gep, ops.BR: _br,
+    ops.JMP: _jmp, ops.MOV: _mov, ops.SELECT: _select,
+    ops.ALLOCA: _alloca, ops.TRUNC: _trunc, ops.SEXT: _sext,
+    ops.SITOFP: _sitofp, ops.FPTOSI: _fptosi, ops.FNEG: _fneg,
+    ops.ATOMICRMW: _atomicrmw, ops.CMPXCHG: _cmpxchg, ops.BNDMK: _bndmk,
+    ops.BNDCL: _bndc, ops.BNDCU: _bndc, ops.BNDLDX: _bndldx,
+    ops.BNDSTX: _bndstx, ops.NOP: _nop, ops.TRAP: _trap, ops.CALL: _call,
+    ops.RET: _ret,
+})
+
+#: Ops a block may contain (BR and JMP end it).
+_BLOCK_OPS = frozenset(_TABLE) - {ops.CALL, ops.RET, ops.TRAP}
+
+_INDIRECT, _DIRECT, _NATIVE = 0, 1, 2
+
+
+def _call_kind(ins, program) -> int:
+    if ins.name is None:
+        return _INDIRECT
+    return _DIRECT if ins.name in program.functions else _NATIVE
+
+
+# ---------------------------------------------------------------------------
+# Tier 1: per-instruction factories, one per (opcode, operand shape).
+# ---------------------------------------------------------------------------
+
+def _kind(x):
+    return None if x is None else x >= 0
+
+
+def _shape(ins, rt) -> tuple:
+    """Everything an op definition may branch on."""
     op = ins.op
-    if op in _BIN:
-        return _make_binop(ins, consts, npc, counters)
-    if op == ops.LOAD:
-        return _make_load(ins, consts, npc, counters, mem)
-    if op == ops.STORE:
-        return _make_store(ins, consts, npc, counters, mem)
-    if op == ops.GEP:
-        return _make_gep(ins, consts, npc, counters, track_bounds)
-    if op == ops.BR:
-        return _make_br(ins, consts, counters)
-    if op == ops.JMP:
-        return _make_jmp(ins, counters)
-    if op == ops.MOV:
-        return _make_mov(ins, consts, npc, counters, track_bounds)
-    if op == ops.SELECT:
-        return _make_select(ins, consts, npc, counters)
-    if op == ops.CALL:
-        return _make_call(ins, consts, i, counters, vm, track_bounds)
-    if op == ops.RET:
-        return _make_ret(ins, consts, counters, vm, track_bounds, mem)
-    if op == ops.ALLOCA:
-        return _make_alloca(ins, npc, counters)
-    if op in (ops.TRUNC, ops.SEXT, ops.SITOFP, ops.FPTOSI, ops.FNEG):
-        return _make_unary(ins, consts, npc, counters)
-    if op == ops.ATOMICRMW:
-        return _make_atomicrmw(ins, consts, npc, counters, mem)
-    if op == ops.CMPXCHG:
-        return _make_cmpxchg(ins, consts, npc, counters, mem)
-    if op == ops.BNDMK:
-        return _make_bndmk(ins, consts, npc, counters)
-    if op == ops.BNDCL:
-        return _make_bndcl(ins, consts, npc, counters, vm)
-    if op == ops.BNDCU:
-        return _make_bndcu(ins, consts, npc, counters, vm)
-    if op == ops.BNDLDX:
-        return _make_bndldx(ins, consts, npc, counters, vm)
-    if op == ops.BNDSTX:
-        return _make_bndstx(ins, consts, npc, counters, vm)
-    if op == ops.TRAP:
-        return _make_trap(ins, counters)
-    if op == ops.NOP:
-        return _make_nop(npc, counters)
-    return _make_raise(
-        f"unhandled opcode {op} ({ops.OP_NAMES.get(op)})", counters)
+    return (op, _kind(ins.a), _kind(ins.b), _kind(ins.c), ins.size,
+            ins.is_float, ins.signed, ins.clamp, rt.track_bounds,
+            ins.name if op == ops.ATOMICRMW else None,
+            _call_kind(ins, rt.program) if op == ops.CALL else None)
 
 
-#: Ops whose handlers are straight-line: fixed fall-through, never yield
-#: to the dispatch loop.  (They may still raise — traps, faults and
-#: violations propagate from inside a chain with reference-exact state.)
-_STRAIGHT_OPS = frozenset(_BIN) | frozenset((
-    ops.LOAD, ops.STORE, ops.GEP, ops.MOV, ops.SELECT, ops.ALLOCA,
-    ops.TRUNC, ops.SEXT, ops.SITOFP, ops.FPTOSI, ops.FNEG,
-    ops.ATOMICRMW, ops.CMPXCHG, ops.BNDMK, ops.BNDCL, ops.BNDCU,
-    ops.BNDLDX, ops.BNDSTX, ops.NOP))
+def _compile(source: str, name: str):
+    """The function ``name`` defined by generated ``source``."""
+    namespace: Dict[str, object] = {}
+    exec(compile(source, f"<repro.vm.fastpath {name}>", "exec"), _NS,
+         namespace)
+    return namespace[name]
 
-#: Ops that may end (but not start or continue) a chain: they transfer
-#: control, so the chain simply returns their computed target.
-_TERM_OPS = frozenset((ops.BR, ops.JMP))
 
-_STRAIGHT_FUSED = frozenset(("gep_load", "gep_store", "bnd_access"))
+def insn_source(ins, rt) -> str:
+    """Source of the per-instruction factory for ``ins``'s shape."""
+    e = _InsnEmitter(ins, rt)
+    _TABLE.get(ins.op, _unknown)(e, ins)
+    return e.source()
+
+
+#: shape -> per-instruction closure factory, for the process lifetime
+#: (the set of shapes is small and fixed by the instruction set).
+_PLAIN: Dict[tuple, Callable] = {}
+
+
+# ---------------------------------------------------------------------------
+# Tier 2: blocks, compiled when hot and shared through a bounded cache.
+# ---------------------------------------------------------------------------
+
+def _block_emitter(code, start: int, end: int, rt) -> _BlockEmitter:
+    e = _BlockEmitter(rt)
+    for ins in code[start:end]:
+        e.ins = ins
+        _TABLE[ins.op](e, ins)
+    return e
+
+
+def block_source(code, start: int, end: int, rt) -> str:
+    """Source of the block function for the run ``code[start:end]``."""
+    return _block_emitter(code, start, end, rt).source(end)
+
+
+def _block_key(code, start: int, end: int, track_bounds: bool) -> tuple:
+    key = [track_bounds, end]
+    for ins in code[start:end]:
+        key += (ins.op, ins.dest, ins.a, ins.b, ins.c, ins.size, ins.signed,
+                ins.is_float, ins.clamp, ins.name, ins.t1, ins.t2)
+    return tuple(key)
+
+
+#: Content key -> (code object, binding recipe), least recently used
+#: first.  Only the code object is kept: binding a VM builds a function
+#: whose default arguments are that VM's counters, accessors and
+#: constants.
+_BLOCKS: "OrderedDict[tuple, tuple]" = OrderedDict()
+
+
+def _bind_block(code, start: int, end: int, consts, rt) -> Handler:
+    key = _block_key(code, start, end, rt.track_bounds)
+    entry = _BLOCKS.get(key)
+    if entry is None:
+        e = _block_emitter(code, start, end, rt)
+        entry = _BLOCKS[key] = (_compile(e.source(end), "blk").__code__,
+                                tuple(e.params.values()))
+        while len(_BLOCKS) > BLOCK_CACHE_SIZE:
+            _BLOCKS.popitem(last=False)
+    else:
+        _BLOCKS.move_to_end(key)
+    body, recipe = entry
+    defaults = tuple(getattr(rt, arg) if kind == "rt"
+                     else rt.accessor(*arg) if kind == "mem"
+                     else consts[arg]
+                     for kind, arg in recipe)
+    return FunctionType(body, _NS, "blk", defaults)
+
+
+def _counted(blk: Handler, stats: Dict[str, int]) -> Handler:
+    def h(frame, regs, thread):
+        stats["block"] += 1
+        return blk(frame, regs, thread)
+    return h
+
+
+def _tier_up_stub(fc: FastCode, start: int, end: int, consts, rt,
+                  stats) -> Handler:
+    """Run head before tier-up: the per-instruction handler, counting
+    dispatches; the HOT-th installs the block for the next dispatch."""
+    plain = fc.plain[start]
+    left = HOT
+
+    def h(frame, regs, thread):
+        nonlocal left
+        left -= 1
+        if left <= 0:
+            blk = _bind_block(fc.code, start, end, consts, rt)
+            fc.handlers[start] = blk if stats is None else \
+                _counted(blk, stats)
+            fc.costs[start] = end - start
+        return plain(frame, regs, thread)
+    return h
+
+
+def _runs(fn) -> List[tuple]:
+    """(start, end) of every run of two or more block-tier ops."""
+    code = fn.code
+    n = len(code)
+    heads = set(fn.block_starts or fn.block_index.values())
+    heads.update(i + 1 for i, ins in enumerate(code) if ins.op == ops.CALL)
+    runs = []
+    for start in sorted(heads):
+        end = start
+        while end < n and code[end].op in _BLOCK_OPS:
+            end += 1
+            if code[end - 1].op in (ops.BR, ops.JMP) or end in heads:
+                break
+        if end - start >= 2:
+            runs.append((start, end))
+    return runs
 
 
 def compile_function(vm, fn, consts) -> FastCode:
     """Predecode ``fn`` against ``vm``'s bound runtime (space, counters,
-    scheme, telemetry) and ``consts`` (the loader-resolved pool)."""
-    counters = vm.counters
-    mem = _MemCache(vm.space)
-    track_bounds = vm.scheme.uses_register_bounds
+    scheme, telemetry) and ``consts`` (the loader-resolved pool).  With
+    ``vm.fastpath`` set, every run head also gets a tier-up stub."""
+    rt = _Runtime(vm)
     code = fn.code
-    n = len(code)
-    plain: List[Handler] = [
-        _make_plain(code[i], consts, i, counters, vm, track_bounds, mem)
-        for i in range(n)]
-    handlers = list(plain)
-    costs = [1] * n
-    sites: Dict[str, int] = {}
-
-    # Superinstruction fusion.  A fused region must be straight-line
-    # (no instruction after the head may be a jump target) and is only
-    # applied when the scheme's declared fusion classes allow it.
-    fusion = getattr(vm.scheme, "fastpath_fusion", ())
-    starts = getattr(fn, "block_starts", None)
-    if starts is None:
-        starts = frozenset(fn.block_index.values())
-    # Fusion hits are only tallied when telemetry observes the run: the
-    # default path keeps the zero-cost-when-off contract.
-    stats = None
-    if vm._telemetry is not None and fusion:
-        stats = vm.fastpath_stats
-        for kind in ("gep_load", "gep_store", "cmp_br", "bnd_access",
-                     "chain"):
-            stats.setdefault(kind, 0)
-    fkind: Dict[int, str] = {}
-    i = 0
-    while i < n - 1:
-        ins = code[i]
-        nxt = code[i + 1]
-        fused = None
-        kind = None
-        length = 2
-        if i + 1 not in starts:
-            if ins.op == ops.GEP and ins.dest is not None:
-                if nxt.op == ops.LOAD and nxt.a == ins.dest \
-                        and "gep_load" in fusion:
-                    fused = _fuse_gep_load(ins, nxt, consts, i, counters,
-                                           mem, track_bounds, stats)
-                    kind = "gep_load"
-                elif nxt.op == ops.STORE and nxt.a == ins.dest \
-                        and "gep_store" in fusion:
-                    fused = _fuse_gep_store(ins, nxt, consts, i, counters,
-                                            mem, track_bounds, stats)
-                    kind = "gep_store"
-            elif ins.op in CMP_OPS and nxt.op == ops.BR \
-                    and nxt.a == ins.dest and ins.dest is not None \
-                    and "cmp_br" in fusion:
-                fused = _fuse_cmp_br(ins, nxt, consts, counters, stats)
-                kind = "cmp_br"
-            elif ins.op == ops.BNDCL and nxt.op == ops.BNDCU \
-                    and "bnd_access" in fusion and track_bounds \
-                    and i + 2 < n and i + 2 not in starts \
-                    and nxt.dest == ins.dest and nxt.a == ins.a:
-                access = code[i + 2]
-                if access.op in (ops.LOAD, ops.STORE) \
-                        and access.a == ins.a:
-                    fused = _fuse_bnd_access(ins, nxt, access, consts, i,
-                                             counters, mem, vm, stats)
-                    kind = "bnd_access"
-                    length = 3
-        if fused is not None:
-            handlers[i] = fused
-            costs[i] = length
-            fkind[i] = kind
-            sites[kind] = sites.get(kind, 0) + 1
-            i += length
-        else:
-            i += 1
-
-    # Second pass: batch the remaining adjacent straight-line handlers
-    # (including the specialized superinstructions above) into chains of
-    # up to FUSE_MAX quantum units, ending early on a control transfer.
-    # Pure dispatch elision — each sub-handler runs unchanged, so the
-    # identity contract is untouched; only loop bookkeeping is saved.
-    def _straight(idx):
-        k = fkind.get(idx)
-        if k is not None:
-            return k in _STRAIGHT_FUSED
-        return code[idx].op in _STRAIGHT_OPS
-
-    def _chainable_tail(idx):
-        k = fkind.get(idx)
-        if k is not None:
-            return k in _STRAIGHT_FUSED or k == "cmp_br"
-        return code[idx].op in _STRAIGHT_OPS or code[idx].op in _TERM_OPS
-
-    i = 0
-    while i < n:
-        total = costs[i]
-        if total >= FUSE_MAX or not _straight(i):
-            i += total
-            continue
-        j = i + total
-        if j >= n or j in starts or costs[j] + total > FUSE_MAX \
-                or not _chainable_tail(j):
-            i += total
-            continue
-        members = [handlers[i], handlers[j]]
-        total += costs[j]
-        if _straight(j) and total < FUSE_MAX:
-            k = j + costs[j]
-            if k < n and k not in starts \
-                    and costs[k] + total <= FUSE_MAX \
-                    and _chainable_tail(k):
-                members.append(handlers[k])
-                total += costs[k]
-        if len(members) == 2:
-            handlers[i] = _chain2(members[0], members[1], stats)
-        else:
-            handlers[i] = _chain3(members[0], members[1], members[2],
-                                  stats)
-        costs[i] = total
-        sites["chain"] = sites.get("chain", 0) + 1
-        i += total
-    return FastCode(handlers, costs, plain, code, sites)
+    plain: List[Handler] = []
+    for i, ins in enumerate(code):
+        shape = _shape(ins, rt)
+        make = _PLAIN.get(shape)
+        if make is None:
+            make = _PLAIN[shape] = _compile(insn_source(ins, rt), "_factory")
+        plain.append(make(ins, consts, rt, i))
+    fc = FastCode(list(plain), [1] * len(code), plain, code)
+    if vm.fastpath:
+        # Block executions are only tallied when telemetry observes the
+        # run: the default path keeps the zero-cost-when-off contract.
+        stats = None
+        if rt.telem is not None:
+            stats = vm.fastpath_stats
+            stats.setdefault("block", 0)
+        for start, end in _runs(fn):
+            fc.handlers[start] = _tier_up_stub(fc, start, end, consts, rt,
+                                               stats)
+    return fc

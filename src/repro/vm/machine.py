@@ -25,7 +25,6 @@ import random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
-    BoundsViolation,
     ControlFlowHijack,
     ProgramExit,
     RequestAborted,
@@ -33,7 +32,6 @@ from repro.errors import (
     TrapError,
     VMError,
 )
-from repro.ir import instructions as ops
 from repro.ir.module import Function, Module
 from repro.memory.layout import (
     ADDRESS_MASK,
@@ -53,7 +51,6 @@ from repro.vm.scheme import SchemeRuntime
 M64 = (1 << 64) - 1
 M32 = 0xFFFFFFFF
 HI32 = M64 ^ M32
-_SIGN64 = 1 << 63
 
 #: Sentinel a native returns to mean "re-execute this call when unblocked".
 BLOCK_RETRY = object()
@@ -79,78 +76,6 @@ class NativeResult:
         self.value = value
         self.bounds = bounds
 
-
-def _s64(x: int) -> int:
-    return x - (1 << 64) if x & _SIGN64 else x
-
-
-def _sdiv(a: int, b: int) -> int:
-    if b == 0:
-        raise TrapError("integer division by zero")
-    sa, sb = _s64(a), _s64(b)
-    q = abs(sa) // abs(sb)
-    if (sa < 0) != (sb < 0):
-        q = -q
-    return q & M64
-
-
-def _srem(a: int, b: int) -> int:
-    if b == 0:
-        raise TrapError("integer remainder by zero")
-    sa, sb = _s64(a), _s64(b)
-    r = abs(sa) % abs(sb)
-    if sa < 0:
-        r = -r
-    return r & M64
-
-
-def _udiv(a: int, b: int) -> int:
-    if b == 0:
-        raise TrapError("integer division by zero")
-    return a // b
-
-
-def _urem(a: int, b: int) -> int:
-    if b == 0:
-        raise TrapError("integer remainder by zero")
-    return a % b
-
-
-_BIN = {
-    ops.ADD: lambda a, b: (a + b) & M64,
-    ops.SUB: lambda a, b: (a - b) & M64,
-    ops.MUL: lambda a, b: (a * b) & M64,
-    ops.SDIV: _sdiv,
-    ops.UDIV: _udiv,
-    ops.SREM: _srem,
-    ops.UREM: _urem,
-    ops.AND: lambda a, b: a & b,
-    ops.OR: lambda a, b: a | b,
-    ops.XOR: lambda a, b: a ^ b,
-    ops.SHL: lambda a, b: (a << (b & 63)) & M64,
-    ops.LSHR: lambda a, b: a >> (b & 63),
-    ops.ASHR: lambda a, b: (_s64(a) >> (b & 63)) & M64,
-    ops.FADD: lambda a, b: a + b,
-    ops.FSUB: lambda a, b: a - b,
-    ops.FMUL: lambda a, b: a * b,
-    ops.FDIV: lambda a, b: a / b if b != 0.0 else float("inf") * (1 if a >= 0 else -1),
-    ops.EQ: lambda a, b: 1 if a == b else 0,
-    ops.NE: lambda a, b: 1 if a != b else 0,
-    ops.SLT: lambda a, b: 1 if _s64(a) < _s64(b) else 0,
-    ops.SLE: lambda a, b: 1 if _s64(a) <= _s64(b) else 0,
-    ops.SGT: lambda a, b: 1 if _s64(a) > _s64(b) else 0,
-    ops.SGE: lambda a, b: 1 if _s64(a) >= _s64(b) else 0,
-    ops.ULT: lambda a, b: 1 if a < b else 0,
-    ops.ULE: lambda a, b: 1 if a <= b else 0,
-    ops.UGT: lambda a, b: 1 if a > b else 0,
-    ops.UGE: lambda a, b: 1 if a >= b else 0,
-    ops.FEQ: lambda a, b: 1 if a == b else 0,
-    ops.FNE: lambda a, b: 1 if a != b else 0,
-    ops.FLT: lambda a, b: 1 if a < b else 0,
-    ops.FLE: lambda a, b: 1 if a <= b else 0,
-    ops.FGT: lambda a, b: 1 if a > b else 0,
-    ops.FGE: lambda a, b: 1 if a >= b else 0,
-}
 
 RUNNABLE = 0
 BLOCKED = 1
@@ -264,7 +189,7 @@ class VM:
         #: (None when neither is; see :mod:`repro.telemetry.observer`).
         self.observer = Observer.of(telemetry, forensics)
         #: The telemetry sink the per-instruction hooks feed (function
-        #: segments, CALL/RET spans, fusion tallies), bound once here so a
+        #: segments, CALL/RET spans, block tallies), bound once here so a
         #: run without telemetry pays one local ``is None`` test.
         self._telemetry = None
         if self.observer is not None:
@@ -278,14 +203,15 @@ class VM:
         self.external_rids = False
         #: Fleet worker id this VM incarnates (set by EnclaveWorker).
         self.worker_id: Optional[int] = None
-        #: Interpreter selection: the predecoded fast path (default) or
-        #: the reference if/elif ladder.  Both are semantically identical
-        #: (enforced by tests/test_vm_differential.py); None consults the
+        #: Interpreter tier (``repro.vm.fastpath``): hot straight-line
+        #: runs compiled into blocks (default), or per-instruction
+        #: handlers only.  Both are semantically identical (enforced by
+        #: tests/test_vm_differential.py); None consults the
         #: REPRO_VM_FASTPATH environment variable.
         self.fastpath = _env_fastpath() if fastpath is None else bool(fastpath)
-        #: Dynamic superinstruction hit counts by fusion kind, tallied
-        #: only while telemetry observes the run (zero-cost-when-off);
-        #: published to the metrics registry as ``vm.fastpath.<kind>``.
+        #: Compiled-block executions (``"block"``), tallied only while
+        #: telemetry observes the run (zero-cost-when-off); published to
+        #: the metrics registry as ``vm.fastpath.block``.
         self.fastpath_stats: Dict[str, int] = {}
         self.quantum = quantum
         self.max_instructions = max_instructions
@@ -521,24 +447,16 @@ class VM:
         raise SegmentationFault(target, 8, "return to non-code address")
 
     def _step(self, thread: Thread, quantum: int) -> None:
-        """Run ``thread`` for up to ``quantum`` instructions on the
-        selected interpreter.  Everything — ``run()``, the fleet's
-        ``EnclaveWorker`` tick loop — funnels through here."""
-        if self.fastpath:
-            self._run_fast(thread, quantum)
-        else:
-            self._run_reference(thread, quantum)
+        """Run ``thread`` for up to ``quantum`` instructions.  Everything
+        -- ``run()``, the fleet's ``EnclaveWorker`` tick loop -- funnels
+        through here.
 
-    def _run_fast(self, thread: Thread, quantum: int) -> None:
-        """Predecoded handler dispatch (see ``repro.vm.fastpath``).
-
-        The outer structure mirrors ``_run_reference`` exactly: one
-        telemetry segment per frame activation, ``frame.pc`` written back
-        only when the frame didn't yield, the same up-front instruction
-        budget.  The inner loop runs fused superinstructions while the
-        remaining quantum can absorb the longest one, then finishes the
-        slice on unfused handlers so thread switches land on the exact
-        reference instruction boundaries.
+        Dispatch over the predecoded handlers of ``repro.vm.fastpath``:
+        one telemetry segment per frame activation, and ``frame.pc``
+        written back only when the frame didn't yield.  A compiled block
+        runs only while the remaining quantum covers its whole length;
+        the rest of the slice then runs per instruction, so thread
+        switches land on the same instruction in both tiers.
         """
         self.current = thread
         program = self.program
@@ -557,21 +475,24 @@ class VM:
             fc = fast_for(frame.fn, self)
             handlers = fc.handlers
             costs = fc.costs
-            plain = fc.plain
             regs = frame.regs
             pc = frame.pc
             switch = False
             if telem is not None:
                 seg_snap = telem.functions.begin(counters)
-            while quantum >= 3:     # fastpath.FUSE_MAX
+            while True:
+                cost = costs[pc]
+                if cost > quantum:
+                    break
                 npc = handlers[pc](frame, regs, thread)
-                quantum -= costs[pc]
+                quantum -= cost
                 if npc >= 0:
                     pc = npc
                 else:
                     switch = True
                     break
             if not switch:
+                plain = fc.plain
                 while quantum > 0:
                     npc = plain[pc](frame, regs, thread)
                     quantum -= 1
@@ -580,385 +501,6 @@ class VM:
                     else:
                         switch = True
                         break
-            if telem is not None:
-                telem.functions.end(frame.fn.name, counters, seg_snap)
-            if not switch:
-                frame.pc = pc
-        self.current = None
-
-    # The reference dispatch loop.  Deliberately one big function: locals
-    # are the fastest variable class in CPython and this was the
-    # simulator's only hot path before the predecoded fast path existed;
-    # it remains the executable specification the fast path is diffed
-    # against (tests/test_vm_differential.py).
-    def _run_reference(self, thread: Thread, quantum: int) -> None:   # noqa: C901
-        self.current = thread
-        counters = self.counters
-        space = self.space
-        binops = _BIN
-        program = self.program
-        natives = self.natives
-        telem = self._telemetry
-
-        self._executed += quantum   # upper bound; cheap budget check
-        if self._executed > self.max_instructions:
-            raise VMError(
-                f"instruction budget exceeded ({self.max_instructions}); "
-                f"likely an infinite loop in the simulated program")
-
-        while quantum > 0 and thread.state == RUNNABLE:
-            frame = thread.frames[-1]
-            code = frame.code
-            consts = frame.consts
-            regs = frame.regs
-            pc = frame.pc
-            switch = False
-            if telem is not None:
-                seg_snap = telem.functions.begin(counters)
-            while quantum > 0:
-                ins = code[pc]
-                op = ins.op
-                counters.instructions += 1
-                quantum -= 1
-
-                fn2 = binops.get(op)
-                if fn2 is not None:
-                    a = ins.a
-                    b = ins.b
-                    av = regs[a] if a >= 0 else consts[-a - 1]
-                    bv = regs[b] if b >= 0 else consts[-b - 1]
-                    regs[ins.dest] = fn2(av, bv)
-                    pc += 1
-                    continue
-
-                if op == ops.LOAD:
-                    a = ins.a
-                    av = regs[a] if a >= 0 else consts[-a - 1]
-                    addr = av & M32
-                    if ins.is_float:
-                        value = space.read_f64(addr)
-                    else:
-                        size = ins.size
-                        value = space.read_uint(addr, size)
-                        if ins.signed and size < 8:
-                            sign = 1 << (size * 8 - 1)
-                            if value & sign:
-                                value = (value - (sign << 1)) & M64
-                    regs[ins.dest] = value
-                    pc += 1
-                    continue
-
-                if op == ops.STORE:
-                    a = ins.a
-                    b = ins.b
-                    av = regs[a] if a >= 0 else consts[-a - 1]
-                    bv = regs[b] if b >= 0 else consts[-b - 1]
-                    addr = av & M32
-                    if ins.is_float:
-                        space.write_f64(addr, bv)
-                    else:
-                        space.write_uint(addr, bv, ins.size)
-                    pc += 1
-                    continue
-
-                if op == ops.GEP:
-                    a = ins.a
-                    base = regs[a] if a >= 0 else consts[-a - 1]
-                    b = ins.b
-                    if b is not None:
-                        idx = regs[b] if b >= 0 else consts[-b - 1]
-                        value = base + idx * ins.size + ins.c
-                    else:
-                        value = base + ins.c
-                    if ins.clamp:
-                        # §3.2's 32-bit-confined arithmetic: on x86 this
-                        # lowers to a 32-bit lea plus one merge op.
-                        counters.instructions += 1
-                        value = (base & HI32) | (value & M32)
-                    else:
-                        value &= M64
-                    regs[ins.dest] = value
-                    bnd = frame.bounds
-                    if bnd is not None and a >= 0 and a in bnd:
-                        bnd[ins.dest] = bnd[a]
-                    pc += 1
-                    continue
-
-                if op == ops.BR:
-                    counters.branches += 1
-                    a = ins.a
-                    av = regs[a] if a >= 0 else consts[-a - 1]
-                    pc = ins.t1 if av else ins.t2
-                    continue
-
-                if op == ops.JMP:
-                    counters.branches += 1
-                    pc = ins.t1
-                    continue
-
-                if op == ops.MOV:
-                    a = ins.a
-                    regs[ins.dest] = regs[a] if a >= 0 else consts[-a - 1]
-                    bnd = frame.bounds
-                    if bnd is not None and a >= 0 and a in bnd:
-                        bnd[ins.dest] = bnd[a]
-                    pc += 1
-                    continue
-
-                if op == ops.SELECT:
-                    a, b, c = ins.a, ins.b, ins.c
-                    av = regs[a] if a >= 0 else consts[-a - 1]
-                    chosen = b if av else c
-                    regs[ins.dest] = regs[chosen] if chosen >= 0 else consts[-chosen - 1]
-                    pc += 1
-                    continue
-
-                if op == ops.CALL:
-                    counters.calls += 1
-                    args = ins.args
-                    values = [regs[x] if x >= 0 else consts[-x - 1] for x in args]
-                    name = ins.name
-                    if name is not None:
-                        callee = program.functions.get(name)
-                        if callee is None:
-                            native = natives.get(name)
-                            if native is None:
-                                raise VMError(f"unknown function {name!r}")
-                            if frame.bounds is not None:
-                                self.native_arg_bounds = [
-                                    frame.bounds.get(x) if x >= 0 else None
-                                    for x in args]
-                            if telem is None:
-                                result = native(self, thread, values)
-                            else:
-                                t0 = counters.instructions
-                                result = native(self, thread, values)
-                                telem.native_call(name, thread.tid, t0,
-                                                  counters.instructions)
-                            if result is BLOCK_RETRY:
-                                frame.pc = pc   # re-execute the call on wake
-                                switch = True
-                                break
-                            if self._ckpt_pending is not None:
-                                # net_recv asked for a request checkpoint.
-                                # Snapshot at the CALL itself (before the
-                                # result lands in a register): restoring
-                                # re-executes net_recv, which then serves
-                                # the *next* request.
-                                ck_conn, ck_raw = self._ckpt_pending
-                                self._ckpt_pending = None
-                                frame.pc = pc
-                                thread.checkpoint = RequestCheckpoint(
-                                    thread, ck_conn, ck_raw)
-                            if type(result) is NativeResult:
-                                if ins.dest is not None:
-                                    regs[ins.dest] = result.value
-                                    if frame.bounds is not None and result.bounds:
-                                        frame.bounds[ins.dest] = result.bounds
-                            elif ins.dest is not None:
-                                regs[ins.dest] = result if result is not None else 0
-                            if thread.state != RUNNABLE or thread.frames[-1] is not frame:
-                                frame.pc = pc + 1
-                                switch = True
-                                break
-                            pc += 1
-                            continue
-                    else:
-                        a = ins.a
-                        target = (regs[a] if a >= 0 else consts[-a - 1]) & ADDRESS_MASK
-                        callee = program.function_at(target)
-                        if callee is None:
-                            raise SegmentationFault(target, 1, "indirect call to non-code")
-                    arg_bounds = None
-                    if frame.bounds is not None:
-                        arg_bounds = {}
-                        for i, x in enumerate(args):
-                            if x >= 0 and x in frame.bounds:
-                                arg_bounds[i] = frame.bounds[x]
-                    frame.pc = pc + 1
-                    self._push_frame(thread, callee, values, ins.dest, arg_bounds)
-                    switch = True
-                    break
-
-                if op == ops.RET:
-                    a = ins.a
-                    value = 0
-                    if a is not None:
-                        value = regs[a] if a >= 0 else consts[-a - 1]
-                    actual = space.read_u64(frame.ret_slot)
-                    if actual != frame.token:
-                        self._corrupted_return(actual)
-                    ret_bounds = None
-                    if frame.bounds is not None and a is not None and a >= 0:
-                        ret_bounds = frame.bounds.get(a)
-                    thread.frames.pop()
-                    if telem is not None:
-                        telem.function_exit(frame.fn.name, thread.tid,
-                                            counters.instructions)
-                    thread.sp = frame.base + frame.fn.frame_size
-                    if not thread.frames:
-                        self._finish_thread(thread, value)
-                        switch = True
-                        break
-                    parent = thread.frames[-1]
-                    if frame.dest is not None:
-                        parent.regs[frame.dest] = value
-                        if parent.bounds is not None and ret_bounds:
-                            parent.bounds[frame.dest] = ret_bounds
-                    switch = True
-                    break
-
-                if op == ops.ALLOCA:
-                    regs[ins.dest] = frame.base + ins.c
-                    pc += 1
-                    continue
-
-                if op == ops.TRUNC:
-                    a = ins.a
-                    av = regs[a] if a >= 0 else consts[-a - 1]
-                    regs[ins.dest] = av & ((1 << (ins.size * 8)) - 1)
-                    pc += 1
-                    continue
-
-                if op == ops.SEXT:
-                    a = ins.a
-                    av = regs[a] if a >= 0 else consts[-a - 1]
-                    bits = ins.size * 8
-                    sign = 1 << (bits - 1)
-                    av &= (1 << bits) - 1
-                    if av & sign:
-                        av = (av - (1 << bits)) & M64
-                    regs[ins.dest] = av
-                    pc += 1
-                    continue
-
-                if op == ops.SITOFP:
-                    a = ins.a
-                    av = regs[a] if a >= 0 else consts[-a - 1]
-                    regs[ins.dest] = float(_s64(av))
-                    pc += 1
-                    continue
-
-                if op == ops.FPTOSI:
-                    a = ins.a
-                    av = regs[a] if a >= 0 else consts[-a - 1]
-                    regs[ins.dest] = int(av) & M64
-                    pc += 1
-                    continue
-
-                if op == ops.FNEG:
-                    a = ins.a
-                    av = regs[a] if a >= 0 else consts[-a - 1]
-                    regs[ins.dest] = -av
-                    pc += 1
-                    continue
-
-                if op == ops.ATOMICRMW:
-                    a, b = ins.a, ins.b
-                    addr = (regs[a] if a >= 0 else consts[-a - 1]) & M32
-                    val = regs[b] if b >= 0 else consts[-b - 1]
-                    old = space.read_uint(addr, ins.size)
-                    if ins.name == "add":
-                        space.write_uint(addr, (old + val) & M64, ins.size)
-                    elif ins.name == "xchg":
-                        space.write_uint(addr, val, ins.size)
-                    elif ins.name == "sub":
-                        space.write_uint(addr, (old - val) & M64, ins.size)
-                    else:
-                        raise VMError(f"unknown atomicrmw kind {ins.name!r}")
-                    regs[ins.dest] = old
-                    pc += 1
-                    continue
-
-                if op == ops.CMPXCHG:
-                    a, b, c = ins.a, ins.b, ins.c
-                    addr = (regs[a] if a >= 0 else consts[-a - 1]) & M32
-                    expected = regs[b] if b >= 0 else consts[-b - 1]
-                    desired = regs[c] if c >= 0 else consts[-c - 1]
-                    old = space.read_uint(addr, ins.size)
-                    if old == expected:
-                        space.write_uint(addr, desired, ins.size)
-                    regs[ins.dest] = old
-                    pc += 1
-                    continue
-
-                if op == ops.BNDMK:
-                    a, b = ins.a, ins.b
-                    base = (regs[a] if a >= 0 else consts[-a - 1]) & M32
-                    size = regs[b] if b >= 0 else consts[-b - 1]
-                    if frame.bounds is not None:
-                        frame.bounds[ins.dest] = (base, base + size)
-                    pc += 1
-                    continue
-
-                if op == ops.BNDCL:
-                    # MPX bound checks are micro-coded multi-uop
-                    # instructions (Oleksenko et al., "Intel MPX
-                    # Explained"); ins.c additionally carries the
-                    # pass-computed bounds-register spill cost (only 4
-                    # architectural bounds registers exist).
-                    counters.instructions += 1 + (ins.c or 0)
-                    counters.bounds_checks += 1
-                    bnd = frame.bounds.get(ins.dest) if frame.bounds is not None else None
-                    if bnd is not None:
-                        a = ins.a
-                        val = (regs[a] if a >= 0 else consts[-a - 1]) & M32
-                        if val < bnd[0]:
-                            self.scheme.handle_violation(self, BoundsViolation(
-                                "mpx", val, bnd[0], bnd[1], access="read",
-                                what="bndcl"))
-                    pc += 1
-                    continue
-
-                if op == ops.BNDCU:
-                    counters.instructions += 1 + (ins.c or 0)
-                    counters.bounds_checks += 1
-                    bnd = frame.bounds.get(ins.dest) if frame.bounds is not None else None
-                    if bnd is not None:
-                        a = ins.a
-                        val = (regs[a] if a >= 0 else consts[-a - 1]) & M32
-                        if val + ins.size > bnd[1]:
-                            self.scheme.handle_violation(self, BoundsViolation(
-                                "mpx", val, bnd[0], bnd[1], size=ins.size,
-                                access="read", what="bndcu"))
-                    pc += 1
-                    continue
-
-                if op == ops.BNDLDX:
-                    a = ins.a
-                    slot = (regs[a] if a >= 0 else consts[-a - 1]) & M32
-                    # Two-level BD/BT translation plus the compiler's
-                    # bounds-register spill pressure: several extra uops
-                    # beyond the memory traffic charged below.
-                    counters.instructions += 4
-                    if frame.bounds is not None:
-                        loaded = self.scheme.bt_load(self, slot)
-                        if loaded is not None:
-                            frame.bounds[ins.dest] = loaded
-                        else:
-                            frame.bounds.pop(ins.dest, None)
-                    pc += 1
-                    continue
-
-                if op == ops.BNDSTX:
-                    a = ins.a
-                    slot = (regs[a] if a >= 0 else consts[-a - 1]) & M32
-                    counters.instructions += 4
-                    if frame.bounds is not None:
-                        self.scheme.bt_store(self, slot,
-                                             frame.bounds.get(ins.dest))
-                    pc += 1
-                    continue
-
-                if op == ops.TRAP:
-                    raise TrapError(ins.name or "trap")
-
-                if op == ops.NOP:
-                    pc += 1
-                    continue
-
-                raise VMError(f"unhandled opcode {op} ({ops.OP_NAMES.get(op)})")
-
             if telem is not None:
                 telem.functions.end(frame.fn.name, counters, seg_snap)
             if not switch:

@@ -4,11 +4,10 @@
 ``python -m repro <experiment> --seed 7 --size XS`` for the six
 simulation experiments.  Two properties are enforced:
 
-* **fastpath ON matches the goldens** — the predecoded interpreter
-  reproduces the pre-fastpath output byte for byte (the goldens were
-  captured with identity against the reference loop already proven);
+* **fastpath ON matches the goldens** — the block tier of the
+  interpreter reproduces the pinned output byte for byte;
 * **fastpath OFF matches the goldens too** (spot-check) — so the
-  reference loop, now off the default path, cannot silently rot.
+  per-instruction tier, off the default path, cannot silently rot.
 
 Timing lines are excluded: five experiments print theirs to stderr
 (``_STDERR_TIMING`` in :mod:`repro.__main__`), which we do not capture;
@@ -110,12 +109,12 @@ def test_golden_fastpath_on(experiment):
 
 @pytest.mark.parametrize("experiment", ("fleet", "chaos", "redteam"))
 def test_golden_fastpath_off(experiment):
-    """Reference-loop spot-check: the non-default interpreter must keep
+    """Per-instruction-tier spot-check: the non-default tier must keep
     producing the same pinned output (full six-way OFF coverage lives in
     the differential oracle; three subprocesses keep this cheap)."""
     assert _run_cli(experiment, fastpath=False) == _golden(experiment), (
         f"'python -m repro {experiment}' drifted from the golden with "
-        f"REPRO_VM_FASTPATH=0 — the reference interpreter has rotted")
+        f"REPRO_VM_FASTPATH=0 — the per-instruction tier has rotted")
 
 
 @pytest.mark.parametrize("label", tuple(ARTIFACT_COMMANDS))

@@ -1,29 +1,36 @@
-"""Differential-identity oracle: fastpath vs reference interpreter.
+"""Differential-identity oracle: block tier vs per-instruction tier.
 
-The predecoded dispatcher (:mod:`repro.vm.fastpath`) is only legal if it
-is *observationally indistinguishable* from the reference loop
-(``VM._run_reference``) — byte-identical stdout, identical PerfCounters,
-identical violation and forensics records, identical crash types — for
-every program, every scheme, every policy.  This module is that proof
-obligation, at three granularities:
+Both interpreter tiers are generated from one opcode table
+(:mod:`repro.vm.fastpath`).  Compiling hot straight-line runs into
+blocks is only legal if a block-tier run is *observationally
+indistinguishable* from a per-instruction run -- byte-identical stdout,
+identical PerfCounters, identical violation and forensics records,
+identical crash types -- for every program, every scheme, every policy,
+whenever tier-up happens.  Every check below therefore runs the block
+tier twice: at the default ``HOT`` and with every run compiled on its
+first dispatch (``HOT = 1``).  The oracle works at three granularities:
 
 1. every registered suite workload (XS) under every scheme;
 2. the scheme x policy matrix on a real server app with an exploit
    request, down to flight-recorder JSONL and postmortem equality;
 3. a seeded fuzz corpus (>= 200 generated MiniC programs per seed,
-   ``tests/genprog.py``) through both interpreters.
+   ``tests/genprog.py``) through both tiers.
 
-Any drift between the loops fails here first; keep this file green
-before trusting any benchmark number the fast path produces.
+Because both tiers share the opcode definitions, a wrong definition
+passes here; ``tests/test_transparency.py`` (every scheme against
+native), the CLI goldens, the perfbench digests and
+``tests/test_minic_properties.py`` are the independent checks.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from contextlib import contextmanager
+
 from repro.forensics import Forensics
 from repro.harness.runner import run_server, run_workload
-from repro.vm import policy
+from repro.vm import fastpath, policy
 from repro.workloads import all_workloads, get
 from repro.workloads.apps import apache, memcached
 
@@ -37,9 +44,27 @@ FUZZ_SEEDS = (2017, 40917)
 FUZZ_COUNT = 200
 
 
+@contextmanager
+def _hot(value):
+    saved, fastpath.HOT = fastpath.HOT, value
+    try:
+        yield
+    finally:
+        fastpath.HOT = saved
+
+
+def _block_tier_runs(run):
+    """``run(fastpath=True)`` at the default HOT and at HOT = 1."""
+    first = run(fastpath=True)
+    with _hot(1):
+        return first, run(fastpath=True)
+
+
 def _run_pair(workload, scheme, **kwargs):
+    """The per-instruction run and the two block-tier runs."""
     ref = run_workload(workload, scheme, fastpath=False, **kwargs)
-    fast = run_workload(workload, scheme, fastpath=True, **kwargs)
+    fast = _block_tier_runs(
+        lambda **kw: run_workload(workload, scheme, **kwargs, **kw))
     return ref, fast
 
 
@@ -61,7 +86,8 @@ def _assert_results_identical(ref, fast, label):
                          [w.name for w in all_workloads()])
 def test_workload_identity_native(name):
     ref, fast = _run_pair(get(name), "native", size="XS")
-    _assert_results_identical(ref, fast, f"{name}/native")
+    for run in fast:
+        _assert_results_identical(ref, run, f"{name}/native")
 
 
 def test_workload_identity_all_schemes():
@@ -73,8 +99,9 @@ def test_workload_identity_all_schemes():
     for workload in all_workloads():
         for scheme in PROTECTED_SCHEMES:
             ref, fast = _run_pair(workload, scheme, size="XS")
-            _assert_results_identical(
-                ref, fast, f"{workload.name}/{scheme}")
+            for run in fast:
+                _assert_results_identical(
+                    ref, run, f"{workload.name}/{scheme}")
 
 
 # ---------------------------------------------------------------------------
@@ -97,17 +124,20 @@ def _server_cell(scheme, pol, fastpath):
 @pytest.mark.parametrize("pol", policy.ALL_POLICIES)
 def test_scheme_policy_matrix(scheme, pol):
     ref, ref_fx = _server_cell(scheme, pol, fastpath=False)
-    fast, fast_fx = _server_cell(scheme, pol, fastpath=True)
     label = f"memcached/{scheme}/{pol}"
-    _assert_results_identical(ref, fast, label)
-    assert fast.resilience == ref.resilience, f"{label}: resilience drift"
-    # Forensics must match record-for-record: the flight recorder's JSONL
-    # dump covers event order, timestamps (instruction counts) and every
-    # detail field; postmortems cover stack capture at the violation site.
-    assert fast_fx.recorder.to_jsonl() == ref_fx.recorder.to_jsonl(), \
-        f"{label}: flight-recorder drift"
-    assert fast_fx.postmortems == ref_fx.postmortems, \
-        f"{label}: postmortem drift"
+    for fast, fast_fx in _block_tier_runs(
+            lambda **kw: _server_cell(scheme, pol, **kw)):
+        _assert_results_identical(ref, fast, label)
+        assert fast.resilience == ref.resilience, \
+            f"{label}: resilience drift"
+        # Forensics must match record-for-record: the flight recorder's
+        # JSONL dump covers event order, timestamps (instruction counts)
+        # and every detail field; postmortems cover stack capture at the
+        # violation site.
+        assert fast_fx.recorder.to_jsonl() == ref_fx.recorder.to_jsonl(), \
+            f"{label}: flight-recorder drift"
+        assert fast_fx.postmortems == ref_fx.postmortems, \
+            f"{label}: postmortem drift"
 
 
 def test_apache_heartbleed_identity():
@@ -115,11 +145,12 @@ def test_apache_heartbleed_identity():
     over-read followed by a legitimate request)."""
     requests = [apache.heartbleed_request(), apache.static_get()]
     for pol in (policy.ABORT, policy.BOUNDLESS):
-        ref = run_server(apache.SOURCE, [list(requests)], "sgxbounds",
-                         4, name="apache", policy=pol, fastpath=False)
-        fast = run_server(apache.SOURCE, [list(requests)], "sgxbounds",
-                          4, name="apache", policy=pol, fastpath=True)
-        _assert_results_identical(ref, fast, f"apache/sgxbounds/{pol}")
+        def run(pol=pol, **kw):
+            return run_server(apache.SOURCE, [list(requests)], "sgxbounds",
+                              4, name="apache", policy=pol, **kw)
+        ref = run(fastpath=False)
+        for fast in _block_tier_runs(run):
+            _assert_results_identical(ref, fast, f"apache/sgxbounds/{pol}")
 
 
 # ---------------------------------------------------------------------------
@@ -132,35 +163,37 @@ def _counters(vm):
 
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
 def test_fuzz_identity(seed):
-    """>= 200 seeded random programs per seed, both interpreters."""
+    """>= 200 seeded random programs per seed, both tiers."""
     mismatches = []
     for k, source in enumerate(corpus(seed, FUZZ_COUNT)):
         ref_result, ref_vm = run_c(source, fastpath=False)
-        fast_result, fast_vm = run_c(source, fastpath=True)
-        if (fast_result != ref_result
-                or fast_vm.output() != ref_vm.output()
-                or _counters(fast_vm) != _counters(ref_vm)):
-            mismatches.append(k)
+        for fast_result, fast_vm in _block_tier_runs(
+                lambda **kw: run_c(source, **kw)):
+            if (fast_result != ref_result
+                    or fast_vm.output() != ref_vm.output()
+                    or _counters(fast_vm) != _counters(ref_vm)):
+                mismatches.append(k)
     assert not mismatches, (
         f"seed {seed}: programs {mismatches} diverged — reproduce with "
         f"tests.genprog.corpus({seed}, {FUZZ_COUNT})[k]")
 
 
 def test_fuzz_identity_under_sgxbounds():
-    """Sample of the corpus under instrumentation: exercises bnd_access
-    fusion, tagged-pointer GEPs and the clamped-access paths the native
-    runs never reach."""
+    """Sample of the corpus under instrumentation: exercises
+    tagged-pointer GEPs and the clamped-access paths the native runs
+    never reach."""
     from repro.core import SGXBoundsScheme
     for k, source in enumerate(corpus(7, 25)):
         ref_result, ref_vm = run_c(source, SGXBoundsScheme(),
                                    fastpath=False)
-        fast_result, fast_vm = run_c(source, SGXBoundsScheme(),
-                                     fastpath=True)
-        assert fast_result == ref_result, f"program {k}: exit value drift"
-        assert fast_vm.output() == ref_vm.output(), \
-            f"program {k}: stdout drift"
-        assert _counters(fast_vm) == _counters(ref_vm), \
-            f"program {k}: counters drift"
+        for fast_result, fast_vm in _block_tier_runs(
+                lambda **kw: run_c(source, SGXBoundsScheme(), **kw)):
+            assert fast_result == ref_result, \
+                f"program {k}: exit value drift"
+            assert fast_vm.output() == ref_vm.output(), \
+                f"program {k}: stdout drift"
+            assert _counters(fast_vm) == _counters(ref_vm), \
+                f"program {k}: counters drift"
 
 
 def test_corpus_is_deterministic():
