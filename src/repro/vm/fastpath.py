@@ -41,7 +41,8 @@ interleavings.  The rules that make this hold:
 * every code index keeps its per-instruction handler in
   ``FastCode.plain``; CALLs never sit inside a block, so ``BLOCK_RETRY``
   and request checkpoints re-execute a call by its index;
-* a block writes its registers back only when it completes.  When an
+* a block writes its registers back only when it completes, and only
+  those some later instruction may read (:class:`_Liveness`).  When an
   instruction inside it raises, the frame's registers are never read
   again: the run ends, or drop-request recovery restores the registers
   of the request checkpoint.
@@ -54,6 +55,7 @@ Handler calling convention (both tiers): ``handler(frame, regs, thread)
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
 from collections import OrderedDict
 from types import FunctionType
 from typing import Callable, Dict, List
@@ -442,12 +444,14 @@ class _BlockEmitter(_Emitter):
             self.line(f"counters.instructions += {self.pending}")
             self.pending = 0
 
-    def source(self, fallthrough: int) -> str:
+    def source(self, fallthrough: int, live_out) -> str:
+        """The block function; only registers in ``live_out`` (those some
+        path may read before writing them again) are written back."""
         self.sync()
         out = [f"def blk(frame, regs, thread, {', '.join(self.params)}):"]
         out += [f"    r{x} = regs[{x}]" for x in self.live_in]
         out += [f"    {text}" for text in self.lines]
-        out += [f"    regs[{x}] = r{x}" for x in self.written]
+        out += [f"    regs[{x}] = r{x}" for x in self.written if x in live_out]
         out.append(f"    return {self.next_pc or fallthrough}")
         return "\n".join(out)
 
@@ -457,6 +461,10 @@ class _BlockEmitter(_Emitter):
 # IR-instruction units, before any observable effect), its side effects,
 # and for BR/JMP the next pc.
 # ---------------------------------------------------------------------------
+
+#: ``{x}`` reinterpreted as a signed 64-bit value, inline (as ``_s64``).
+_S64 = "({x} - 0x10000000000000000 if {x} & 0x8000000000000000 else {x})"
+_SA, _SB = _S64.format(x="{a}"), _S64.format(x="{b}")
 
 #: Binary ops as expressions over the operands ``{a}`` and ``{b}``.
 _BIN_EXPR = {
@@ -472,17 +480,17 @@ _BIN_EXPR = {
     ops.XOR: "{a} ^ {b}",
     ops.SHL: "({a} << ({b} & 63)) & M64",
     ops.LSHR: "{a} >> ({b} & 63)",
-    ops.ASHR: "(_s64({a}) >> ({b} & 63)) & M64",
+    ops.ASHR: f"({_SA} >> ({{b}} & 63)) & M64",
     ops.FADD: "{a} + {b}",
     ops.FSUB: "{a} - {b}",
     ops.FMUL: "{a} * {b}",
     ops.FDIV: "_fdiv({a}, {b})",
     ops.EQ: "1 if {a} == {b} else 0",
     ops.NE: "1 if {a} != {b} else 0",
-    ops.SLT: "1 if _s64({a}) < _s64({b}) else 0",
-    ops.SLE: "1 if _s64({a}) <= _s64({b}) else 0",
-    ops.SGT: "1 if _s64({a}) > _s64({b}) else 0",
-    ops.SGE: "1 if _s64({a}) >= _s64({b}) else 0",
+    ops.SLT: f"1 if {_SA} < {_SB} else 0",
+    ops.SLE: f"1 if {_SA} <= {_SB} else 0",
+    ops.SGT: f"1 if {_SA} > {_SB} else 0",
+    ops.SGE: f"1 if {_SA} >= {_SB} else 0",
     ops.ULT: "1 if {a} < {b} else 0",
     ops.ULE: "1 if {a} <= {b} else 0",
     ops.UGT: "1 if {a} > {b} else 0",
@@ -900,13 +908,92 @@ def _block_emitter(code, start: int, end: int, rt) -> _BlockEmitter:
     return e
 
 
-def block_source(code, start: int, end: int, rt) -> str:
+def block_source(code, start: int, end: int, rt, live_out) -> str:
     """Source of the block function for the run ``code[start:end]``."""
-    return _block_emitter(code, start, end, rt).source(end)
+    return _block_emitter(code, start, end, rt).source(end, live_out)
 
 
-def _block_key(code, start: int, end: int, track_bounds: bool) -> tuple:
-    key = [track_bounds, end]
+#: Ops whose ``dest`` is a value register they write (the MPX ops use
+#: ``dest`` as a bounds key).
+_DEFS = frozenset(_BIN_EXPR) | {
+    ops.LOAD, ops.GEP, ops.MOV, ops.SELECT, ops.ALLOCA, ops.TRUNC,
+    ops.SEXT, ops.SITOFP, ops.FPTOSI, ops.FNEG, ops.ATOMICRMW,
+    ops.CMPXCHG, ops.CALL}
+
+
+class _Liveness:
+    """Registers live at each code index of one function: read on some
+    path from there before being written.  Blocks write back only the
+    registers live at their exit; the rest are temporaries no later
+    instruction reads."""
+
+    def __init__(self, code, heads):
+        n = len(code)
+        self.code = code
+        self.uses = [frozenset(x for x in ins.operands() if x >= 0)
+                     for ins in code]
+        self.starts = sorted(i for i in set(heads) | {0} if i < n)
+        self.ends = self.starts[1:] + [n]
+        self.block_live: Dict[int, frozenset] = {}
+        changed = True
+        while changed:
+            changed = False
+            for start, end in zip(reversed(self.starts),
+                                  reversed(self.ends)):
+                live = self._scan(end - 1, start)
+                if live != self.block_live.get(start):
+                    self.block_live[start] = live
+                    changed = True
+
+    def _successors(self, i: int) -> frozenset:
+        """Registers live on entry to the successors of block end ``i``."""
+        ins = self.code[i]
+        if ins.op == ops.BR:
+            targets = (ins.t1, ins.t2)
+        elif ins.op == ops.JMP:
+            targets = (ins.t1,)
+        elif ins.op in (ops.RET, ops.TRAP) or ins.op not in _TABLE:
+            targets = ()
+        else:
+            targets = (i + 1,)
+        # Every successor is a block start (the fixpoint starts from
+        # empty sets and only grows them).
+        live = frozenset()
+        for target in targets:
+            live |= self.block_live.get(target, frozenset())
+        return live
+
+    def _scan(self, last: int, first: int) -> frozenset:
+        """Live set before ``first``, scanning back from ``last``."""
+        live = self._successors(last)
+        for i in range(last, first - 1, -1):
+            ins = self.code[i]
+            if ins.op in _DEFS and ins.dest is not None:
+                live = live - {ins.dest}
+            live = live | self.uses[i]
+        return live
+
+    def at(self, index: int) -> frozenset:
+        if index >= len(self.code):
+            return frozenset()
+        if index in self.block_live:
+            return self.block_live[index]
+        end = self.ends[bisect_right(self.starts, index) - 1]
+        return self._scan(end - 1, index)
+
+    def exit(self, end: int) -> frozenset:
+        """Registers live when a run ending before ``end`` leaves."""
+        last = self.code[end - 1]
+        if last.op == ops.BR:
+            return self.at(last.t1) | self.at(last.t2)
+        if last.op == ops.JMP:
+            return self.at(last.t1)
+        return self.at(end)
+
+
+def _block_key(code, start: int, end: int, track_bounds: bool,
+               live_out) -> tuple:
+    key = [track_bounds, end, tuple(sorted(live_out))]
     for ins in code[start:end]:
         key += (ins.op, ins.dest, ins.a, ins.b, ins.c, ins.size, ins.signed,
                 ins.is_float, ins.clamp, ins.name, ins.t1, ins.t2)
@@ -920,13 +1007,17 @@ def _block_key(code, start: int, end: int, track_bounds: bool) -> tuple:
 _BLOCKS: "OrderedDict[tuple, tuple]" = OrderedDict()
 
 
-def _bind_block(code, start: int, end: int, consts, rt) -> Handler:
-    key = _block_key(code, start, end, rt.track_bounds)
+def _bind_block(code, start: int, end: int, consts, rt,
+                live_out) -> Handler:
+    defined = {ins.dest for ins in code[start:end] if ins.op in _DEFS}
+    live_out = live_out & defined
+    key = _block_key(code, start, end, rt.track_bounds, live_out)
     entry = _BLOCKS.get(key)
     if entry is None:
         e = _block_emitter(code, start, end, rt)
-        entry = _BLOCKS[key] = (_compile(e.source(end), "blk").__code__,
-                                tuple(e.params.values()))
+        entry = _BLOCKS[key] = (
+            _compile(e.source(end, live_out), "blk").__code__,
+            tuple(e.params.values()))
         while len(_BLOCKS) > BLOCK_CACHE_SIZE:
             _BLOCKS.popitem(last=False)
     else:
@@ -947,9 +1038,10 @@ def _counted(blk: Handler, stats: Dict[str, int]) -> Handler:
 
 
 def _tier_up_stub(fc: FastCode, start: int, end: int, consts, rt,
-                  stats) -> Handler:
+                  stats, liveness) -> Handler:
     """Run head before tier-up: the per-instruction handler, counting
-    dispatches; the HOT-th installs the block for the next dispatch."""
+    dispatches; the HOT-th installs the block for the next dispatch.
+    ``liveness()`` returns the function's :class:`_Liveness`."""
     plain = fc.plain[start]
     left = HOT
 
@@ -957,7 +1049,8 @@ def _tier_up_stub(fc: FastCode, start: int, end: int, consts, rt,
         nonlocal left
         left -= 1
         if left <= 0:
-            blk = _bind_block(fc.code, start, end, consts, rt)
+            blk = _bind_block(fc.code, start, end, consts, rt,
+                              liveness().exit(end))
             fc.handlers[start] = blk if stats is None else \
                 _counted(blk, stats)
             fc.costs[start] = end - start
@@ -965,12 +1058,9 @@ def _tier_up_stub(fc: FastCode, start: int, end: int, consts, rt,
     return h
 
 
-def _runs(fn) -> List[tuple]:
+def _runs(code, heads) -> List[tuple]:
     """(start, end) of every run of two or more block-tier ops."""
-    code = fn.code
     n = len(code)
-    heads = set(fn.block_starts or fn.block_index.values())
-    heads.update(i + 1 for i, ins in enumerate(code) if ins.op == ops.CALL)
     runs = []
     for start in sorted(heads):
         end = start
@@ -1004,7 +1094,18 @@ def compile_function(vm, fn, consts) -> FastCode:
         if rt.telem is not None:
             stats = vm.fastpath_stats
             stats.setdefault("block", 0)
-        for start, end in _runs(fn):
+        heads = set(fn.block_starts or fn.block_index.values())
+        heads.update(i + 1 for i, ins in enumerate(code)
+                     if ins.op == ops.CALL)
+        computed = []
+
+        def liveness() -> _Liveness:
+            # Computed once per function, at its first tier-up.
+            if not computed:
+                computed.append(_Liveness(code, heads))
+            return computed[0]
+
+        for start, end in _runs(code, heads):
             fc.handlers[start] = _tier_up_stub(fc, start, end, consts, rt,
-                                               stats)
+                                               stats, liveness)
     return fc
