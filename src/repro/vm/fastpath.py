@@ -42,7 +42,7 @@ interleavings.  The rules that make this hold:
   ``FastCode.plain``; CALLs never sit inside a block, so ``BLOCK_RETRY``
   and request checkpoints re-execute a call by its index;
 * a block writes its registers back only when it completes, and only
-  those some later instruction may read (:class:`_Liveness`).  When an
+  those some later instruction may read (:func:`_live_out`).  When an
   instruction inside it raises, the frame's registers are never read
   again: the run ends, or drop-request recovery restores the registers
   of the request checkpoint.
@@ -55,7 +55,6 @@ Handler calling convention (both tiers): ``handler(frame, regs, thread)
 from __future__ import annotations
 
 import struct
-from bisect import bisect_right
 from collections import OrderedDict
 from types import FunctionType
 from typing import Callable, Dict, List
@@ -445,8 +444,8 @@ class _BlockEmitter(_Emitter):
             self.pending = 0
 
     def source(self, fallthrough: int, live_out) -> str:
-        """The block function; only registers in ``live_out`` (those some
-        path may read before writing them again) are written back."""
+        """The block function; only the registers in ``live_out`` are
+        written back."""
         self.sync()
         out = [f"def blk(frame, regs, thread, {', '.join(self.params)}):"]
         out += [f"    r{x} = regs[{x}]" for x in self.live_in]
@@ -921,74 +920,32 @@ _DEFS = frozenset(_BIN_EXPR) | {
     ops.CMPXCHG, ops.CALL}
 
 
-class _Liveness:
-    """Registers live at each code index of one function: read on some
-    path from there before being written.  Blocks write back only the
-    registers live at their exit; the rest are temporaries no later
-    instruction reads."""
+def _read_spans(code) -> Dict[int, tuple]:
+    """Register -> (first, last) index of the instructions reading it."""
+    spans: Dict[int, tuple] = {}
+    for i, ins in enumerate(code):
+        for x in ins.operands():
+            if x >= 0:
+                spans[x] = (spans.get(x, (i,))[0], i)
+    return spans
 
-    def __init__(self, code, heads):
-        n = len(code)
-        self.code = code
-        self.uses = [frozenset(x for x in ins.operands() if x >= 0)
-                     for ins in code]
-        self.starts = sorted(i for i in set(heads) | {0} if i < n)
-        self.ends = self.starts[1:] + [n]
-        self.block_live: Dict[int, frozenset] = {}
-        changed = True
-        while changed:
-            changed = False
-            for start, end in zip(reversed(self.starts),
-                                  reversed(self.ends)):
-                live = self._scan(end - 1, start)
-                if live != self.block_live.get(start):
-                    self.block_live[start] = live
-                    changed = True
 
-    def _successors(self, i: int) -> frozenset:
-        """Registers live on entry to the successors of block end ``i``."""
-        ins = self.code[i]
-        if ins.op == ops.BR:
-            targets = (ins.t1, ins.t2)
-        elif ins.op == ops.JMP:
-            targets = (ins.t1,)
-        elif ins.op in (ops.RET, ops.TRAP) or ins.op not in _TABLE:
-            targets = ()
-        else:
-            targets = (i + 1,)
-        # Every successor is a block start (the fixpoint starts from
-        # empty sets and only grows them).
-        live = frozenset()
-        for target in targets:
-            live |= self.block_live.get(target, frozenset())
-        return live
-
-    def _scan(self, last: int, first: int) -> frozenset:
-        """Live set before ``first``, scanning back from ``last``."""
-        live = self._successors(last)
-        for i in range(last, first - 1, -1):
-            ins = self.code[i]
-            if ins.op in _DEFS and ins.dest is not None:
-                live = live - {ins.dest}
-            live = live | self.uses[i]
-        return live
-
-    def at(self, index: int) -> frozenset:
-        if index >= len(self.code):
-            return frozenset()
-        if index in self.block_live:
-            return self.block_live[index]
-        end = self.ends[bisect_right(self.starts, index) - 1]
-        return self._scan(end - 1, index)
-
-    def exit(self, end: int) -> frozenset:
-        """Registers live when a run ending before ``end`` leaves."""
-        last = self.code[end - 1]
-        if last.op == ops.BR:
-            return self.at(last.t1) | self.at(last.t2)
-        if last.op == ops.JMP:
-            return self.at(last.t1)
-        return self.at(end)
+def _live_out(code, start: int, end: int, spans) -> frozenset:
+    """Registers the run ``code[start:end]`` writes that a later
+    instruction may read.  A register the run writes before any read of
+    it, and that no instruction outside the run reads, is a temporary:
+    no branch lands inside a run, so every later read of it follows a
+    fresh write by the run."""
+    read_first, written = set(), set()
+    for ins in code[start:end]:
+        read_first.update(x for x in ins.operands()
+                          if x >= 0 and x not in written)
+        if ins.op in _DEFS and ins.dest is not None:
+            written.add(ins.dest)
+    return frozenset(
+        x for x in written
+        if x in read_first or x in spans
+        and not start <= spans[x][0] <= spans[x][1] < end)
 
 
 def _block_key(code, start: int, end: int, track_bounds: bool,
@@ -1009,8 +966,6 @@ _BLOCKS: "OrderedDict[tuple, tuple]" = OrderedDict()
 
 def _bind_block(code, start: int, end: int, consts, rt,
                 live_out) -> Handler:
-    defined = {ins.dest for ins in code[start:end] if ins.op in _DEFS}
-    live_out = live_out & defined
     key = _block_key(code, start, end, rt.track_bounds, live_out)
     entry = _BLOCKS.get(key)
     if entry is None:
@@ -1038,10 +993,10 @@ def _counted(blk: Handler, stats: Dict[str, int]) -> Handler:
 
 
 def _tier_up_stub(fc: FastCode, start: int, end: int, consts, rt,
-                  stats, liveness) -> Handler:
+                  stats, spans) -> Handler:
     """Run head before tier-up: the per-instruction handler, counting
     dispatches; the HOT-th installs the block for the next dispatch.
-    ``liveness()`` returns the function's :class:`_Liveness`."""
+    ``spans()`` returns the function's :func:`_read_spans`."""
     plain = fc.plain[start]
     left = HOT
 
@@ -1050,7 +1005,7 @@ def _tier_up_stub(fc: FastCode, start: int, end: int, consts, rt,
         left -= 1
         if left <= 0:
             blk = _bind_block(fc.code, start, end, consts, rt,
-                              liveness().exit(end))
+                              _live_out(fc.code, start, end, spans()))
             fc.handlers[start] = blk if stats is None else \
                 _counted(blk, stats)
             fc.costs[start] = end - start
@@ -1099,13 +1054,13 @@ def compile_function(vm, fn, consts) -> FastCode:
                      if ins.op == ops.CALL)
         computed = []
 
-        def liveness() -> _Liveness:
+        def spans() -> Dict[int, tuple]:
             # Computed once per function, at its first tier-up.
             if not computed:
-                computed.append(_Liveness(code, heads))
+                computed.append(_read_spans(code))
             return computed[0]
 
         for start, end in _runs(code, heads):
             fc.handlers[start] = _tier_up_stub(fc, start, end, consts, rt,
-                                               stats, liveness)
+                                               stats, spans)
     return fc
