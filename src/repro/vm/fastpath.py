@@ -907,11 +907,6 @@ def _block_emitter(code, start: int, end: int, rt) -> _BlockEmitter:
     return e
 
 
-def block_source(code, start: int, end: int, rt, live_out) -> str:
-    """Source of the block function for the run ``code[start:end]``."""
-    return _block_emitter(code, start, end, rt).source(end, live_out)
-
-
 #: Ops whose ``dest`` is a value register they write (the MPX ops use
 #: ``dest`` as a bounds key).
 _DEFS = frozenset(_BIN_EXPR) | {

@@ -29,7 +29,7 @@ SCHEME_NAMES = ("sgxbounds", "asan", "mpx", "baggy")
 #: Seeds and programs per seed, sized to keep the tier-1 suite fast
 #: (each program runs under 1 + 4 x 2 configurations).
 SEEDS = (1604, 31337)
-COUNT = 40
+COUNT = 30
 
 
 def _scheme(name: str, optimized: bool):
